@@ -33,7 +33,11 @@ sharded scheduler must win:
   numbers; they absorb runner noise, not regressions), or
 * fresh scalar throughput falls below ``MIN_SCALAR_RATIO`` (80 %) of
   the committed baseline — the batch engine must never be paid for by
-  slowing the scalar path down.
+  slowing the scalar path down — or
+* fresh batch throughput falls below ``MIN_BATCH_RATIO`` (70 %) of the
+  committed baseline — a faster scalar engine shrinks the speedup
+  ratios without the batch engine changing, so the ratio floors alone
+  cannot guard it.
 
 ``--json PATH`` additionally writes the fresh measurement plus the
 gate verdict as machine-readable JSON (CI uploads it on failure, so a
@@ -48,11 +52,15 @@ tests/test_batch_equivalence.py).
 
 Absolute ticks/s are not comparable across machines or interpreter
 versions, so the baseline also records a *calibration* probe — a
-fixed pure-Python arithmetic loop timed the same way — and the scalar
-floor compares throughputs normalised by it.  A slower runner slows
+fixed pure-Python arithmetic loop timed the same way, the mean of one
+run before and one after the measurement — and the scalar floor
+compares throughputs normalised by it.  A slower runner slows
 probe and engine alike and passes; only the engine regressing
-*relative to the interpreter* fails.  (The speedup floors are already
-same-run ratios and need no normalisation.)
+*relative to the interpreter* fails.  The batch floor is normalised
+the same way but sits lower: the lane engine spends part of its time
+in numpy kernels, which the pure-Python probe tracks less closely.
+(The speedup floors are already same-run ratios and need no
+normalisation.)
 """
 
 from __future__ import annotations
@@ -92,13 +100,13 @@ APP_SCALE = 1.0
 COMPOSITIONS: dict[str, dict] = {
     "cells64": {
         "seeds_per_cell": 1,
-        "min_speedup": 5.0,
+        "min_speedup": 2.5,
         "write_reps": 5,
         "check_reps": 3,
     },
     "cells1024": {
         "seeds_per_cell": 16,
-        "min_speedup": 15.0,
+        "min_speedup": 7.6,
         "write_reps": 2,
         "check_reps": 1,
     },
@@ -114,6 +122,7 @@ COMPOSITIONS: dict[str, dict] = {
 }
 
 MIN_SCALAR_RATIO = 0.8
+MIN_BATCH_RATIO = 0.7
 
 
 def calibrate(reps: int = 5, n: int = 2_000_000) -> float:
@@ -303,20 +312,24 @@ def measure_composition(name: str, reps: int) -> dict:
 
 def measure(write: bool, reps_override: int | None) -> dict:
     """Measure every composition; ``reps_override`` applies to all."""
-    out = {
-        "schema": 3,
-        "calibration_ops_per_s": round(calibrate(), 1),
-        "compositions": {},
-    }
+    probe_before = calibrate()
+    compositions = {}
     for name, spec in COMPOSITIONS.items():
         reps = reps_override or (
             spec["write_reps"] if write else spec["check_reps"]
         )
         if spec.get("kind") == "sharded":
-            out["compositions"][name] = measure_sharded(name, reps)
+            compositions[name] = measure_sharded(name, reps)
         else:
-            out["compositions"][name] = measure_composition(name, reps)
-    return out
+            compositions[name] = measure_composition(name, reps)
+    # The measurement takes minutes and a shared host's speed drifts
+    # meanwhile: bracket it with two probes rather than trust one.
+    probe = (probe_before + calibrate()) / 2
+    return {
+        "schema": 3,
+        "calibration_ops_per_s": round(probe, 1),
+        "compositions": compositions,
+    }
 
 
 def check(fresh: dict) -> list[str]:
@@ -376,18 +389,22 @@ def check(fresh: dict) -> list[str]:
                 f"the {min_speedup:.1f}x floor (committed: "
                 f"{c['speedup']:.2f}x)"
             )
-        # Normalise the committed throughput to this machine's speed
-        # via the calibration probe before applying the floor.
-        expected = c["scalar"]["ticks_per_s"] * machine
-        if f["scalar"]["ticks_per_s"] < MIN_SCALAR_RATIO * expected:
-            problems.append(
-                f"{name}: scalar throughput "
-                f"{f['scalar']['ticks_per_s']:.0f} ticks/s regressed "
-                f"below {MIN_SCALAR_RATIO:.0%} of the committed "
-                f"baseline ({c['scalar']['ticks_per_s']:.0f} ticks/s, "
-                f"{expected:.0f} after the {machine:.2f}x machine-"
-                f"speed normalisation)"
-            )
+        # Normalise the committed throughputs to this machine's speed
+        # via the calibration probe before applying the floors.
+        for engine, ratio in (
+            ("scalar", MIN_SCALAR_RATIO),
+            ("batch", MIN_BATCH_RATIO),
+        ):
+            expected = c[engine]["ticks_per_s"] * machine
+            if f[engine]["ticks_per_s"] < ratio * expected:
+                problems.append(
+                    f"{name}: {engine} throughput "
+                    f"{f[engine]['ticks_per_s']:.0f} ticks/s regressed "
+                    f"below {ratio:.0%} of the committed baseline "
+                    f"({c[engine]['ticks_per_s']:.0f} ticks/s, "
+                    f"{expected:.0f} after the {machine:.2f}x machine-"
+                    f"speed normalisation)"
+                )
     return problems
 
 
@@ -457,6 +474,7 @@ def main() -> int:
                     for name, spec in COMPOSITIONS.items()
                 },
                 "min_scalar_ratio": MIN_SCALAR_RATIO,
+                "min_batch_ratio": MIN_BATCH_RATIO,
             },
         )
         args.json.write_text(json.dumps(report, indent=2) + "\n")

@@ -36,13 +36,24 @@ import argparse
 import sys
 
 from .config import ControllerConfig
-from .core.registry import as_spec, describe_policies, make_spec, parse_policy
+from .core.registry import (
+    PolicySpec,
+    as_spec,
+    describe_policies,
+    make_spec,
+    parse_policy,
+    parse_policy_params,
+)
 from .errors import ReproError
 from .experiments.registry import experiment_ids, run_experiment
 from .sim.export import write_summary_json, write_trace_csv, write_trace_jsonl
 from .sim.faults import parse_fault_plan
 from .sim.run import run_application
 from .workloads.catalog import application_names, build_application
+
+#: ``--budget`` defaults of ``repro hetero`` and ``repro cluster``.
+HETERO_BUDGET_W = 300.0
+CLUSTER_BUDGET_W = 200.0
 
 __all__ = ["main", "build_parser"]
 
@@ -273,7 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_hetero = sub.add_parser(
         "hetero", help="CPU+GPU shared-budget demo (paper §VII future work)"
     )
-    p_hetero.add_argument("--budget", type=float, default=300.0)
+    p_hetero.add_argument(
+        "--budget",
+        type=float,
+        default=None,
+        help=f"shared CPU+GPU power budget, watts; fills budget_w of a "
+        f"--policy that leaves it out (default {HETERO_BUDGET_W:.0f})",
+    )
     p_hetero.add_argument("--slowdown", type=float, default=10.0)
     p_hetero.add_argument(
         "--app",
@@ -326,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument(
         "--budget",
         type=float,
-        default=200.0,
-        help="global fleet power budget, watts (default 200)",
+        default=None,
+        help=f"global fleet power budget, watts; fills budget_w of a "
+        f"--policy that leaves it out (default {CLUSTER_BUDGET_W:.0f})",
     )
     p_cluster.add_argument(
         "--apps",
@@ -586,6 +604,35 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _policies_at_budget(
+    texts: list[str], budget_w: float | None, default_w: float
+) -> list[PolicySpec]:
+    """Parse ``--policy`` texts, with ``--budget`` filling ``budget_w``.
+
+    ``budget_w`` is the ``--budget`` flag (``None`` when not given, in
+    which case ``default_w`` fills).  A spec that sets its own
+    ``budget_w`` keeps it, but must agree with an explicit ``--budget``.
+    """
+    specs = []
+    for text in texts:
+        name, params = parse_policy_params(text)
+        given = params.get("budget_w")
+        if given is None:
+            params["budget_w"] = default_w if budget_w is None else budget_w
+        elif budget_w is not None and given != budget_w:
+            raise ReproError(
+                f"--policy {text!r} sets budget_w={given:g} but "
+                f"--budget is {budget_w:g}; give the budget once"
+            )
+        specs.append(make_spec(name, **params))
+    return specs
+
+
+def _budget_label(policies: list[PolicySpec]) -> str:
+    """The budget(s) the runs will use, for the summary header."""
+    return "/".join(dict.fromkeys(f"{p.params.budget_w:.0f}" for p in policies))
+
+
 def _run_hetero(args: argparse.Namespace) -> str:
     from .core.registry import split_policy
     from .hardware.gpu import GPUNodeConfig
@@ -596,21 +643,20 @@ def _run_hetero(args: argparse.Namespace) -> str:
     node = GPUNodeConfig(gpu_count=args.gpus, kernel_count=args.kernels)
     node.validate()
     if args.policy:
-        policies = [parse_policy(p) for p in args.policy]
+        policies = _policies_at_budget(args.policy, args.budget, HETERO_BUDGET_W)
         display = {p.label: p.label for p in policies}
     else:
         # The classic demo: the naive operator split vs the paper's
         # coordinated one, both at --budget.
-        policies = [
-            make_spec("hetero-static", budget_w=args.budget),
-            make_spec("hetero-coord", budget_w=args.budget),
-        ]
+        policies = _policies_at_budget(
+            ["hetero-static", "hetero-coord"], args.budget, HETERO_BUDGET_W
+        )
         display = {
             policies[0].label: "static 50/50",
             policies[1].label: "coordinated",
         }
     lines = [
-        f"shared budget {args.budget:.0f} W, tolerance "
+        f"shared budget {_budget_label(policies)} W, tolerance "
         f"{args.slowdown:.0f} %, {args.gpus} GPU(s), "
         f"{args.kernels} kernels, app {app.name} x{args.scale:g}"
     ]
@@ -666,21 +712,20 @@ def _run_cluster(args: argparse.Namespace) -> str:
         for i in range(args.nodes)
     ]
     if args.policy:
-        policies = [parse_policy(p) for p in args.policy]
+        policies = _policies_at_budget(args.policy, args.budget, CLUSTER_BUDGET_W)
         display = {p.label: p.label for p in policies}
     else:
         # The classic demo: the never-revisited equal split vs the
         # demand-driven water-filling partition, both at --budget.
-        policies = [
-            make_spec("fleet-static", budget_w=args.budget),
-            make_spec("fleet-demand", budget_w=args.budget),
-        ]
+        policies = _policies_at_budget(
+            ["fleet-static", "fleet-demand"], args.budget, CLUSTER_BUDGET_W
+        )
         display = {
             policies[0].label: "static equal share",
             policies[1].label: "demand-driven",
         }
     lines = [
-        f"fleet budget {args.budget:.0f} W over {args.nodes} node(s) x "
+        f"fleet budget {_budget_label(policies)} W over {args.nodes} node(s) x "
         f"{args.sockets} socket(s), tolerance {args.slowdown:.0f} %, "
         f"period {args.period:g} s, apps {'+'.join(dict.fromkeys(app_names))} "
         f"x{args.scale:g}"

@@ -126,6 +126,11 @@ class CoreConfig:
                 "CoreConfig.avx_max_freq_hz must lie within [min_freq, max_freq]"
             )
 
+    def pstates(self) -> tuple[float, ...]:
+        """All selectable core frequencies (Hz), ascending."""
+        n = int(round((self.max_freq_hz - self.min_freq_hz) / self.step_hz))
+        return tuple(self.min_freq_hz + i * self.step_hz for i in range(n + 1))
+
     def voltage_at(self, freq_hz: float) -> float:
         """Linear V/f curve between ``(min_freq, v_min)`` and ``(max_freq, v_max)``."""
         if self.max_freq_hz == self.min_freq_hz:

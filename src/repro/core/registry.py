@@ -77,6 +77,7 @@ __all__ = [
     "make_spec",
     "as_spec",
     "parse_policy",
+    "parse_policy_params",
     "policy_label",
     "controller_factory",
     "describe_policies",
@@ -292,6 +293,17 @@ def parse_policy(text: str) -> PolicySpec:
     ``budget`` policy with ``watts=95`` and defaults elsewhere.  Value
     strings are coerced using the parameter dataclass's field types.
     """
+    name, params = parse_policy_params(text)
+    return make_spec(name, **params)
+
+
+def parse_policy_params(text: str) -> tuple[str, dict[str, object]]:
+    """The policy id and the parameters ``text`` sets explicitly.
+
+    Unlike :func:`parse_policy` this keeps "left out" apart from "set
+    to the default", so a caller can fill a parameter from elsewhere
+    (``repro cluster --budget``) without overriding an explicit value.
+    """
     name, _, param_text = text.partition(":")
     name = name.strip()
     info = policy_info(name)
@@ -312,7 +324,7 @@ def parse_policy(text: str) -> PolicySpec:
                     f"accepts: {sorted(types) or 'none'}"
                 )
             params[key] = _coerce(value.strip(), types[key])
-    return make_spec(name, **params)
+    return name, params
 
 
 def policy_label(policy: "PolicySpec | str") -> str:

@@ -77,9 +77,7 @@ class PStateDriver:
 
     def available_pstates(self) -> tuple[float, ...]:
         """All selectable core frequencies (Hz), ascending."""
-        cfg = self.config
-        n = int(round((cfg.max_freq_hz - cfg.min_freq_hz) / cfg.step_hz))
-        return tuple(cfg.min_freq_hz + i * cfg.step_hz for i in range(n + 1))
+        return self.config.pstates()
 
     def snap(self, freq_hz: float) -> float:
         """Snap an arbitrary frequency onto the P-state grid (floor)."""

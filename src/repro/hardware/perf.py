@@ -20,7 +20,7 @@ needs (core activity, traffic utilisation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..config import CoreConfig
 from ..units import smooth_max
@@ -59,6 +59,10 @@ class PhaseExecutionModel:
     overlap_sharpness: float = 3.5
     #: Two rooflines within this ratio of each other count as balanced.
     balance_band: float = 1.15
+    #: Last ``instantaneous`` call: (flops, bytes, other inputs, rates).
+    _memo: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def phase_time(
         self,
@@ -92,7 +96,32 @@ class PhaseExecutionModel:
         latency_sensitivity: float = 0.0,
         uncore_sensitivity: float = 0.0,
     ) -> ExecutionRates:
-        """Rates and power-model inputs while the phase executes."""
+        """Rates and power-model inputs while the phase executes.
+
+        A pure function of its arguments and the model's fixed
+        configuration, so the last result is reused when the same inputs
+        come again (a socket's step repeats its preview's clocks almost
+        every time).  Only inputs that already passed validation can
+        hit.  The volumes must be the same objects: equal floats may
+        still differ in the sign of a zero, which the rates keep.
+        """
+        key = (
+            fpc,
+            core_hz,
+            uncore_hz,
+            latency_sensitivity,
+            uncore_sensitivity,
+            self.overlap_sharpness,
+            self.balance_band,
+        )
+        memo = self._memo
+        if (
+            memo is not None
+            and flops is memo[0]
+            and bytes_ is memo[1]
+            and key == memo[2]
+        ):
+            return memo[3]
         t_c, t_m = self._roof_times(
             flops,
             bytes_,
@@ -114,7 +143,7 @@ class PhaseExecutionModel:
             bound = "balanced"
 
         bytes_rate = bytes_ / t
-        return ExecutionRates(
+        rates = ExecutionRates(
             flops_rate=flops / t,
             bytes_rate=bytes_rate,
             # Cores retire for the compute-time share of the phase; a
@@ -124,6 +153,8 @@ class PhaseExecutionModel:
             progress_rate=1.0 / t,
             bound=bound,
         )
+        self._memo = (flops, bytes_, key, rates)
+        return rates
 
     # -- internals --------------------------------------------------------------
 

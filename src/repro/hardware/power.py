@@ -47,6 +47,16 @@ class PackagePowerModel:
         self.core_cfg.validate()
         self.uncore_cfg.validate()
         self.cfg.validate()
+        # The P-state grid and each grid point's core power before the
+        # activity scale, in ``core_power``'s association order, so
+        # ``core_power(f, a) == pstate_core_w[i] * scale`` bitwise.
+        cfg = self.core_cfg
+        self.pstate_freqs = cfg.pstates()
+        ck = cfg.count * self.cfg.k_core
+        self.pstate_core_w = tuple(
+            ck * cfg.voltage_at(f) * cfg.voltage_at(f) * (f / 1e9)
+            for f in self.pstate_freqs
+        )
 
     # -- forward model ---------------------------------------------------------
 
@@ -150,15 +160,16 @@ class PackagePowerModel:
             uncore_w = self.uncore_power(uncore_hz, traffic)
         non_core = self.cfg.static_w + uncore_w
         budget_cores = budget_w - non_core
-        best = floor
-        cfg = self.core_cfg
-        n_steps = int(round((cfg.max_freq_hz - cfg.min_freq_hz) / cfg.step_hz))
-        for i in range(n_steps, -1, -1):
-            f = cfg.min_freq_hz + i * cfg.step_hz
-            if self.core_power(f, activity) * core_boost <= budget_cores:
-                best = f
-                break
-        return best
+        # ``core_power(f, activity)`` per grid point from the table:
+        # same validation, same products (``a0 * 1.0 == a0`` exactly).
+        self._check_unit("activity", activity)
+        a0 = self.cfg.core_idle_fraction
+        scale = a0 + (1.0 - a0) * activity
+        table = self.pstate_core_w
+        for i in range(len(table) - 1, -1, -1):
+            if table[i] * scale * core_boost <= budget_cores:
+                return self.pstate_freqs[i]
+        return floor
 
     @staticmethod
     def _check_unit(name: str, value: float) -> None:

@@ -268,24 +268,18 @@ class BatchSimulationEngine:
             self.th_hyst = th.hysteresis_c
             self.prochot_snap = self.procs[0].dvfs.snap(th.prochot_freq_hz)
 
-        # P-state grid and the per-grid-point core power base — Python
-        # floats in the scalar model's exact association order, so
-        # ``core_power(f, a) == cp_base[i] * scale`` bitwise.
-        n_steps = int(round((self.cmax - self.cmin) / self.cstep))
-        pf = [self.cmin + i * self.cstep for i in range(n_steps + 1)]
+        # P-state grid and the per-grid-point core power base, shared
+        # with the scalar model (every lane has the same socket config),
+        # so ``core_power(f, a) == cp_base[i] * scale`` bitwise.
+        power_model = self.procs[0].power_model
+        pf = power_model.pstate_freqs
         self.pfreqs = np.array(pf, dtype=np.float64)
-        self.cp_base = np.array(
-            [
-                ((self.ck * core.voltage_at(f)) * core.voltage_at(f)) * (f / 1e9)
-                for f in pf
-            ],
-            dtype=np.float64,
-        )
+        self._cpb_list = power_model.pstate_core_w
+        self.cp_base = np.array(self._cpb_list, dtype=np.float64)
         self.cp_grid = self.cp_base[None, :]
         self._grid_last = len(pf) - 1
         # Python-float copies of the grid for the scalar lane tail.
         self._pf_list = pf
-        self._cpb_list = self.cp_base.tolist()
         # When the top grid point fits every lane's budget nobody is
         # clamped; precompute what the full search would return then.
         self._cp_top = self._cpb_list[-1]

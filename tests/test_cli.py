@@ -111,3 +111,73 @@ class TestMain:
             main(["--version"])
         assert exc.value.code == 0
         assert "repro 1.0.0" in capsys.readouterr().out
+
+
+class TestBudgetFillsPolicy:
+    """``--budget`` reaches a ``--policy`` that leaves ``budget_w`` out."""
+
+    CLUSTER = ["cluster", "--nodes", "2", "--scale", "0.2"]
+    HETERO = ["hetero", "--scale", "0.2", "--kernels", "2"]
+
+    def test_cluster_budget_fills_spec(self, capsys):
+        argv = self.CLUSTER + ["--budget", "200", "--policy", "fleet-demand"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("fleet budget 200 W")
+        assert "policy=fleet-demand-200W budget_w=200 " in out
+        assert "250" not in out.split("\n")[0]
+
+    def test_hetero_budget_fills_spec(self, capsys):
+        argv = self.HETERO + ["--budget", "200", "--policy", "hetero-coord"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("shared budget 200 W")
+        assert "policy=hetero-coord-200W budget_w=200 " in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            CLUSTER + ["--budget", "200", "--policy", "fleet-demand:budget_w=250"],
+            HETERO + ["--budget", "200", "--policy", "hetero-coord:budget_w=300"],
+        ],
+        ids=["cluster", "hetero"],
+    )
+    def test_conflicting_budgets_rejected(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "budget_w=" in err and "--budget is 200" in err
+
+    @pytest.mark.parametrize(
+        "argv, label",
+        [
+            (
+                CLUSTER + ["--budget", "190", "--policy", "fleet-fair:budget_w=190"],
+                "policy=fleet-fair-190W",
+            ),
+            (
+                HETERO + ["--policy", "hetero-fair:budget_w=250"],
+                "policy=hetero-fair-250W",
+            ),
+        ],
+        ids=["agreeing", "spec-only"],
+    )
+    def test_explicit_spec_budget_kept(self, argv, label, capsys):
+        assert main(argv) == 0
+        assert label in capsys.readouterr().out
+
+    def test_subcommand_default_fills_spec(self, capsys):
+        assert main(self.CLUSTER + ["--policy", "fleet-static"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("fleet budget 200 W")
+        assert "policy=fleet-static-200W" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [CLUSTER + ["--policy", "dufp"], HETERO + ["--policy", "duf"]],
+        ids=["cluster", "hetero"],
+    )
+    def test_policy_without_budget_rejected(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "budget_w" in err
