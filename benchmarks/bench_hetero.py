@@ -7,7 +7,8 @@ devices compared to a naive 50/50 split.
 """
 
 from repro.config import ControllerConfig
-from repro.hardware.gpu import GPUKernel
+from repro.core.registry import make_spec, split_policy
+from repro.hardware.gpu import GPUNodeConfig
 from repro.sim.hetero import HeteroEngine
 from repro.workloads.catalog import build_application
 
@@ -18,24 +19,24 @@ BUDGET_W = 300.0
 
 def _scenario():
     app = build_application("CG", scale=0.5)
-    kernels = [
-        GPUKernel(f"dgemm[{i}]", flops=6e12, bytes=6e12 / 8.0) for i in range(8)
-    ]
+    # Eight DGEMM-like kernels on one GPU, no modelled transfers.
+    node = GPUNodeConfig(
+        kernel_count=8,
+        kernel_flops=6e12,
+        kernel_bytes=6e12 / 8,
+        input_bytes=0.0,
+        output_bytes=0.0,
+    )
     cfg = ControllerConfig(tolerated_slowdown=0.10)
-    static = HeteroEngine(
-        application=app,
-        kernels=kernels,
-        total_budget_w=BUDGET_W,
-        cfg=cfg,
-        coordinated=False,
-    ).run()
-    coordinated = HeteroEngine(
-        application=app,
-        kernels=kernels,
-        total_budget_w=BUDGET_W,
-        cfg=cfg,
-        coordinated=True,
-    ).run()
+    static, coordinated = (
+        HeteroEngine(
+            application=app,
+            node=node,
+            policy=split_policy(make_spec(name, budget_w=BUDGET_W)),
+            cfg=cfg,
+        ).run()
+        for name in ("hetero-static", "hetero-coord")
+    )
     return app.nominal_duration(), static, coordinated
 
 
@@ -45,6 +46,9 @@ def test_cpu_gpu_budget_sharing(benchmark):
     )
     gpu_nominal = 8.0
 
+    _, final_static = static.device_allocations[-1]
+    _, final_coord = coordinated.device_allocations[-1]
+
     def worst(r):
         return max(r.cpu_finish_s / cpu_nominal, r.gpu_finish_s / gpu_nominal)
 
@@ -52,16 +56,15 @@ def test_cpu_gpu_budget_sharing(benchmark):
         f"\nstatic 50/50: CPU {static.cpu_finish_s:.1f} s, GPU "
         f"{static.gpu_finish_s:.1f} s; coordinated: CPU "
         f"{coordinated.cpu_finish_s:.1f} s, GPU {coordinated.gpu_finish_s:.1f} s; "
-        f"final split {coordinated.allocations[-1][1]:.0f}/"
-        f"{coordinated.allocations[-1][2]:.0f} W"
+        f"final split {final_coord[0]:.0f}/{final_coord[1]:.0f} W"
     )
     assert_shape(
-        coordinated.allocations[-1][2] > static.allocations[-1][2],
+        final_coord[1] > final_static[1],
         "watts flow from the CPU cap to the GPU limit",
     )
     assert_shape(
         worst(coordinated) < worst(static),
         "coordination reduces the worst relative slowdown",
     )
-    for _, cpu_w, gpu_w in coordinated.allocations:
+    for _, (cpu_w, gpu_w) in coordinated.device_allocations:
         assert_shape(cpu_w + gpu_w <= BUDGET_W + 1e-6, "budget respected")

@@ -49,7 +49,8 @@ def main() -> None:
             policy=split_policy(policy, cfg),
             cfg=cfg,
         ).run()
-        _, cpu_w, gpu_w = result.allocations[-1]
+        _, (cpu_w, *gpu_ws) = result.device_allocations[-1]
+        gpu_w = sum(gpu_ws)
         print(
             f"  {label:13s} CPU {result.cpu_finish_s:5.1f}s   "
             f"GPU {result.gpu_finish_s:5.1f}s   "

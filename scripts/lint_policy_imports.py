@@ -54,13 +54,9 @@ CONTROLLER_CLASSES = frozenset(
 )
 
 #: Module paths (relative, POSIX-style) that may import the classes.
-#: ``sim/hetero.py`` is the one engine-side exception: its legacy
-#: ``coordinated=True/False`` constructor maps the flag onto concrete
-#: split classes; everything else selects splits through the registry.
 ALLOWED = (
     "src/repro/core/",
     "src/repro/__init__.py",
-    "src/repro/sim/hetero.py",
 )
 
 

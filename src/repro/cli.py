@@ -670,7 +670,8 @@ def _run_hetero(args: argparse.Namespace) -> str:
             cfg=cfg,
             seed=args.seed,
         ).run()
-        _, cpu_w, gpu_w = result.allocations[-1]
+        _, (cpu_w, *gpu_ws) = result.device_allocations[-1]
+        gpu_w = sum(gpu_ws)
         label = display[spec.label]
         lines.append(
             f"  {label:20s} CPU {result.cpu_finish_s:6.2f} s  "

@@ -9,7 +9,9 @@ frozen spec that threads cluster cells through ``RunSpec``/sweep/cache
 (:mod:`repro.cluster.spec`) and the fairness/tail metrics that make
 co-located latency-sensitive + batch workloads first-class
 (:mod:`repro.cluster.metrics`).  Fleet *policies* live in
-:mod:`repro.core.fleet` and are selected through the registry
+:mod:`repro.core.fleet`: the partition strategies of
+:mod:`repro.core.split` (shared with the hetero engine) plus the
+fleet-only equal share.  They are selected through the registry
 (``fleet-static``, ``fleet-demand``, ``fleet-fair``), never imported
 directly — see docs/CLUSTER.md.
 """

@@ -31,7 +31,7 @@ from ..units import watts_to_uw
 from .base import Controller, TickLog
 from .detector import PhaseDetector
 from .duf import UncoreDecisionEngine
-from .tolerance import SlowdownTracker, ToleranceVerdict
+from .tolerance import SlowdownTracker, tolerance_bid
 
 __all__ = ["NodeBudgetCoordinator", "BudgetedSocketController", "allocate_budget"]
 
@@ -205,18 +205,13 @@ class BudgetedSocketController(Controller):
             uncore_action = self._engine.decide(m)
             self.flops.observe(m.flops_per_s)
 
-        cap = self.ctx.cap.cap_w
-        verdict = self.flops.judge(m.flops_per_s)
-        if verdict is ToleranceVerdict.BELOW:
-            # Genuinely throttled: bid above the current cap.
-            demand = cap + 2 * self.cfg.cap_step_w
-        elif verdict is ToleranceVerdict.WITHIN:
-            # Meeting the tolerance with room to spare: offer watts back.
-            demand = max(
-                m.package_power_w - self.cfg.cap_step_w, self.cfg.cap_floor_w
-            )
-        else:
-            demand = m.package_power_w
+        demand = tolerance_bid(
+            self.flops.judge(m.flops_per_s),
+            self.ctx.cap.cap_w,
+            m.package_power_w,
+            self.cfg.cap_step_w,
+            self.cfg.cap_floor_w,
+        )
         self.coordinator.report(self.index, now_s, demand)
         self.log(
             TickLog(

@@ -343,6 +343,32 @@ def controller_factory(
     return as_spec(policy).build(cfg or ControllerConfig())
 
 
+def _partition_policy(
+    policy: "PolicySpec | str",
+    cfg: ControllerConfig | None,
+    flag: str,
+    kind: str,
+    base: type,
+):
+    """Resolve a budget-partition selection flagged ``flag`` to a fresh
+    ``base`` instance (shared by :func:`split_policy`/:func:`fleet_policy`)."""
+    spec = as_spec(policy)
+    if not getattr(spec.info, flag):
+        raise PolicyError(
+            f"policy {spec.name!r} is not a {kind} policy; pick one of: "
+            + ", ".join(
+                n for n in policy_names() if getattr(policy_info(n), flag)
+            )
+        )
+    built = spec.build(cfg or ControllerConfig())
+    if not isinstance(built, base):
+        raise PolicyError(
+            f"{kind} policy {spec.name!r} built {type(built).__name__}, "
+            f"expected a {base.__name__}"
+        )
+    return built
+
+
 def split_policy(
     policy: "PolicySpec | str", cfg: ControllerConfig | None = None
 ) -> SplitPolicy:
@@ -353,20 +379,9 @@ def split_policy(
     returns a :class:`~repro.core.split.SplitPolicy` rather than a
     per-socket controller factory.
     """
-    spec = as_spec(policy)
-    if not spec.info.hetero:
-        raise PolicyError(
-            f"policy {spec.name!r} is a per-socket controller, not a "
-            "hetero budget-split policy; pick one of: "
-            + ", ".join(n for n in policy_names() if policy_info(n).hetero)
-        )
-    built = spec.build(cfg or ControllerConfig())
-    if not isinstance(built, SplitPolicy):
-        raise PolicyError(
-            f"hetero policy {spec.name!r} built {type(built).__name__}, "
-            "expected a SplitPolicy"
-        )
-    return built
+    return _partition_policy(
+        policy, cfg, "hetero", "hetero budget-split", SplitPolicy
+    )
 
 
 def fleet_policy(
@@ -374,26 +389,13 @@ def fleet_policy(
 ) -> FleetPolicy:
     """Resolve a fleet budget-partitioning selection to a fresh policy.
 
-    The cluster counterpart of :func:`controller_factory` and
-    :func:`split_policy`: only valid for registry entries flagged
-    ``fleet=True``, whose ``build(cfg)`` returns a
-    :class:`~repro.core.fleet.FleetPolicy` rather than a per-socket
-    controller factory.
+    The cluster counterpart of :func:`split_policy`: only valid for
+    registry entries flagged ``fleet=True``, whose ``build(cfg)``
+    returns a :class:`~repro.core.fleet.FleetPolicy`.
     """
-    spec = as_spec(policy)
-    if not spec.info.fleet:
-        raise PolicyError(
-            f"policy {spec.name!r} is not a fleet budget-partitioning "
-            "policy; pick one of: "
-            + ", ".join(n for n in policy_names() if policy_info(n).fleet)
-        )
-    built = spec.build(cfg or ControllerConfig())
-    if not isinstance(built, FleetPolicy):
-        raise PolicyError(
-            f"fleet policy {spec.name!r} built {type(built).__name__}, "
-            "expected a FleetPolicy"
-        )
-    return built
+    return _partition_policy(
+        policy, cfg, "fleet", "fleet budget-partitioning", FleetPolicy
+    )
 
 
 def describe_policies() -> str:

@@ -1,35 +1,38 @@
-"""Budget-split policies for heterogeneous (CPU + GPU) nodes.
+"""Budget-partition strategies: one shared budget, N power consumers.
 
-The paper's §VII future work asks whether one shared power budget can
-be shifted between a CPU and a GPU according to their needs.  This
-module supplies the *policy* half of the answer as device-agnostic
-strategy objects: given one demand figure per device (index 0 is the
-CPU socket, 1..N the GPUs), a :class:`SplitPolicy` splits the shared
-budget into per-device allocations between each device's floor and
-ceiling.
+The paper puts DUFP beneath a budget-distribution layer (§VI) and asks
+whether one shared budget can move between a CPU and a GPU (§VII).
+Both questions are the same partition problem: given one demand figure
+per consumer and each consumer's ``[floor, ceiling]`` band, split the
+budget so that every allocation stays in its band and ``sum(alloc) <=
+budget``.  This module is the one implementation of it.  The hetero
+engine feeds it devices (index 0 is the CPU socket, 1..N the GPUs),
+the cluster engine feeds it nodes (:mod:`repro.core.fleet` subclasses
+the same strategies under fleet names).
 
-Three strategies span the design space:
+The strategies:
 
 * :class:`StaticSplit` — the naive operator configuration: a fixed
   CPU fraction, the remainder spread evenly over the GPUs, decided
   once at t = 0 and never revisited.
-* :class:`CoordinatedSplit` — the paper's dynamic-capping idea
-  extended across devices: tolerance-aware demand/offer water-filling
-  (a device meeting its tolerated slowdown offers watts back, a
-  throttled device bids above its current limit), re-split every
-  re-allocation period via :func:`repro.core.budget.allocate_budget`.
+* :class:`CoordinatedSplit` — tolerance-aware demand/offer
+  water-filling (a consumer meeting its tolerated slowdown offers
+  watts back, a throttled one bids above its current limit), re-split
+  every period via :func:`repro.core.budget.allocate_budget`, starting
+  from the even split.
 * :class:`FairShareSplit` — the FastCap-style baseline (PAPERS.md):
-  every device receives the *same fraction of its dynamic range*
-  (floor → ceiling), the fair many-device partitioning the
-  coordinated split is compared against.
+  every consumer receives the *same fraction of its dynamic range*
+  (floor → ceiling), blind to demand.
 
-Like the per-socket controllers, concrete split policies are wired to
-names only in :mod:`repro.core.registry` (``hetero-static``,
-``hetero-coord``, ``hetero-fair``) and selected everywhere else via
+The static and water-fill splits end in :func:`clamp_to_bands`, then
+:func:`_fit_budget` paying back any overshoot the floor clamp
+introduced; the fair share lands inside every band by construction.
+Like the per-socket controllers, concrete strategies are
+wired to names only in :mod:`repro.core.registry` (``hetero-*``,
+``fleet-*``) and selected everywhere else via
 :class:`~repro.core.registry.PolicySpec` — the registry lint enforces
-it.  The policies are deliberately free of device knowledge: the
-hetero engine measures demands and owns floors/ceilings; policies only
-split watts.
+it.  The strategies are free of device knowledge: the engines measure
+demands and own floors/ceilings; strategies only split watts.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "StaticSplit",
     "CoordinatedSplit",
     "FairShareSplit",
+    "clamp_to_bands",
 ]
 
 
@@ -69,6 +73,15 @@ def _check_devices(
         )
 
 
+def clamp_to_bands(
+    values_w: list[float], floors_w: list[float], ceilings_w: list[float]
+) -> list[float]:
+    """Clamp each value into its device's ``[floor, ceiling]`` band."""
+    return [
+        min(max(v, lo), hi) for v, lo, hi in zip(values_w, floors_w, ceilings_w)
+    ]
+
+
 def _fit_budget(
     alloc: list[float], total_w: float, floors_w: list[float]
 ) -> list[float]:
@@ -77,7 +90,8 @@ def _fit_budget(
     Lifting an allocation up to its device floor can push the sum past
     the budget; the excess is taken back from every device above its
     floor, proportionally to its slack.  Feasibility
-    (``sum(floors) <= total``) guarantees the slack covers the excess.
+    (``sum(floors) <= total``, checked by :func:`_check_devices`)
+    guarantees the slack covers the excess.
     """
     excess = sum(alloc) - total_w
     if excess <= 1e-9:
@@ -85,11 +99,8 @@ def _fit_budget(
     slack = [a - lo for a, lo in zip(alloc, floors_w)]
     span = sum(slack)
     if span <= 0.0:
-        # Every device already sits at its floor: the budget cannot
-        # cover the combined floors.  Callers that validated via
-        # _check_devices never reach this; entry points that skip the
-        # check (e.g. initial()) get the same diagnostic instead of a
-        # division by zero.
+        # Every device already sits at its floor: report the
+        # infeasible budget instead of dividing by zero.
         raise ControllerError(
             f"budget {total_w} W cannot cover the combined device floor "
             f"{sum(floors_w)} W"
@@ -98,15 +109,27 @@ def _fit_budget(
     return [lo + s * scale for lo, s in zip(floors_w, slack)]
 
 
-class SplitPolicy:
-    """How one shared power budget splits across a node's devices.
+def _even_split(
+    total_w: float, floors_w: list[float], ceilings_w: list[float]
+) -> list[float]:
+    """``total / n`` per device, clamped into its band, overshoot paid back."""
+    share = total_w / len(floors_w)
+    alloc = clamp_to_bands([share] * len(floors_w), floors_w, ceilings_w)
+    return _fit_budget(alloc, total_w, floors_w)
 
-    ``allocate`` is called by the hetero engine at every re-allocation
-    period with one *demand* per device (watts the device currently
-    bids for); it returns one allocation per device with ``floor_i <=
-    alloc_i <= ceiling_i`` and ``sum(alloc) <= total``.  Policies with
-    :attr:`is_static` true are evaluated once at t = 0 and never again
-    — their split depends only on the bounds, not on measurements.
+
+class SplitPolicy:
+    """How one shared power budget splits across N consumers.
+
+    ``allocate`` is called by an engine at every re-allocation period
+    with one *demand* per consumer (watts it currently bids for); it
+    returns one allocation per consumer with ``floor_i <= alloc_i <=
+    ceiling_i`` and ``sum(alloc) <= total``, or raises
+    :class:`~repro.errors.ControllerError` when the bands are invalid
+    or their floors exceed the budget.  ``initial`` honours the same
+    contract.  Policies with :attr:`is_static` true are evaluated once
+    at t = 0 and never again — their split depends only on the bounds,
+    not on measurements.
     """
 
     #: Registry id of the policy (set by subclasses; used in labels).
@@ -171,21 +194,19 @@ class StaticSplit(SplitPolicy):
         shares = [self.budget_w * self.cpu_fraction] + [
             self.budget_w * (1.0 - self.cpu_fraction) / n_gpus
         ] * n_gpus
-        alloc = [
-            min(max(share, lo), hi)
-            for share, lo, hi in zip(shares, floors_w, ceilings_w)
-        ]
+        alloc = clamp_to_bands(shares, floors_w, ceilings_w)
         return _fit_budget(alloc, self.budget_w, floors_w)
 
 
 class CoordinatedSplit(SplitPolicy):
-    """Tolerance-aware demand/offer water-filling across the devices.
+    """Tolerance-aware demand/offer water-filling across consumers.
 
-    The multi-device generalisation of :func:`repro.core.budget.
-    allocate_budget`'s node split: devices meeting their tolerated
-    slowdown offer watts back, throttled devices bid above their
-    current limit, and the water-filling serves demand above the floor
-    proportionally until the budget is exhausted.
+    :func:`repro.core.budget.allocate_budget`'s socket split lifted to
+    any consumer set: consumers meeting their tolerated slowdown offer
+    watts back, throttled ones bid above their current limit, and the
+    water-filling serves demand above the floor proportionally until
+    the budget is exhausted.  Per-consumer band clamping and the
+    overshoot payback keep every allocation feasible.
     """
 
     name = "hetero-coord"
@@ -203,10 +224,7 @@ class CoordinatedSplit(SplitPolicy):
             min(floors_w),
             ceiling_w=max(ceilings_w),
         )
-        alloc = [
-            min(max(a, lo), hi)
-            for a, lo, hi in zip(alloc, floors_w, ceilings_w)
-        ]
+        alloc = clamp_to_bands(alloc, floors_w, ceilings_w)
         return _fit_budget(alloc, self.budget_w, floors_w)
 
     def initial(
@@ -216,21 +234,18 @@ class CoordinatedSplit(SplitPolicy):
         let the demand/offer loop move watts from there — matching the
         paper's framing of dynamic capping as a *correction* to a
         statically configured budget."""
-        n = len(floors_w)
-        alloc = [
-            min(max(self.budget_w / n, lo), hi)
-            for lo, hi in zip(floors_w, ceilings_w)
-        ]
-        return _fit_budget(alloc, self.budget_w, floors_w)
+        _check_devices(self.budget_w, ceilings_w, floors_w, ceilings_w)
+        return _even_split(self.budget_w, floors_w, ceilings_w)
 
 
 class FairShareSplit(SplitPolicy):
     """FastCap-style fair partitioning: equal fractions of each range.
 
-    Every device receives ``floor + t · (ceiling - floor)`` with one
+    Every consumer receives ``floor + t · (ceiling - floor)`` with one
     common ``t`` chosen so the total meets the budget — the fair
-    multi-device baseline from *FastCap* (PAPERS.md), blind to what the
-    devices are actually doing.
+    baseline from *FastCap* (PAPERS.md), blind to what the consumers
+    are actually doing, so a latency-sensitive device next to a batch
+    one is throttled by the *same* relative amount.
     """
 
     name = "hetero-fair"

@@ -27,6 +27,7 @@ __all__ = [
     "VERDICT_AT_BOUNDARY",
     "VERDICT_BELOW",
     "SlowdownLanes",
+    "tolerance_bid",
 ]
 
 
@@ -109,6 +110,28 @@ class SlowdownTracker:
         if value >= self.threshold - band:
             return ToleranceVerdict.AT_BOUNDARY
         return ToleranceVerdict.BELOW
+
+
+def tolerance_bid(
+    verdict: ToleranceVerdict,
+    limit_w: float,
+    power_w: float,
+    step_w: float,
+    floor_w: float,
+) -> float:
+    """Watts a capped consumer bids for the next budget period.
+
+    The tolerance-aware demand signal shared by every budget layer: a
+    consumer judged BELOW its tolerated slowdown is genuinely throttled
+    and bids two steps above its current limit; one WITHIN it with room
+    to spare offers a step of its draw back (never below its floor); at
+    the boundary it bids what it draws.
+    """
+    if verdict is ToleranceVerdict.BELOW:
+        return limit_w + 2 * step_w
+    if verdict is ToleranceVerdict.WITHIN:
+        return max(power_w - step_w, floor_w)
+    return power_w
 
 
 class SlowdownLanes:

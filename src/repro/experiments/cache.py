@@ -9,26 +9,22 @@ plus the package version and a digest schema tag, so results are
 invalidated automatically whenever any config field *or* the code
 version changes.
 
-Two on-disk formats coexist:
-
-* **v2 (current)** — a log-structured store: values are
-  zlib-compressed pickles appended to per-writer *segment* files under
-  ``<root>/segments/``, indexed by an append-only JSONL *manifest*
-  (``<root>/manifest.jsonl``) mapping each key to ``(segment, offset,
-  length, crc32)``.  A warm replay of a 10k-cell sweep is one manifest
-  read plus sequential blob reads from a handful of kept-open segment
-  handles — no per-entry ``stat``/``open`` round-trips, and compressed
-  entries are typically 5-20× smaller than the raw pickles.
-* **v1 (legacy)** — one raw pickle per entry, laid out
-  ``<root>/<k[:2]>/<k[2:]>.pkl``.  Entries written by earlier versions
-  are read transparently (the *digest* schema did not change, so their
-  keys are still reachable); new writes always use v2.
+The store (schema v2) is log-structured: values are zlib-compressed
+pickles appended to per-writer *segment* files under
+``<root>/segments/``, indexed by an append-only JSONL *manifest*
+(``<root>/manifest.jsonl``) mapping each key to ``(segment, offset,
+length, crc32)``.  A warm replay of a 10k-cell sweep is one manifest
+read plus sequential blob reads from a handful of kept-open segment
+handles — no per-entry ``stat``/``open`` round-trips, and compressed
+entries are typically 5-20× smaller than the raw pickles.  Entries of
+the v1 layout (one raw pickle per entry) are not read: a v1 directory
+is all misses, recomputed and rewritten as v2.
 
 Crash consistency is ordering, not locking: a blob is fully appended
 and flushed before its manifest line is written, so a torn blob is
 invisible and a torn trailing manifest line is skipped on load.  Every
 manifest record carries the blob's CRC-32; a corrupted or unreadable
-entry (either format) is treated as a miss, dropped, and recomputed —
+entry is treated as a miss, dropped, and recomputed —
 interrupting a sweep mid-write can never poison later runs.
 """
 
@@ -58,9 +54,9 @@ CACHE_SCHEMA = 2
 #: Content-address schema folded into every :func:`~repro.experiments.
 #: executor.spec_key` digest.  Deliberately *separate* from
 #: ``CACHE_SCHEMA``: the storage layout changing does not change what
-#: a result is a function of, so v1 entries keep their historical
-#: addresses and remain readable after the v2 migration.  Bump only
-#: when the *meaning* of a cached payload changes.
+#: a result is a function of, so keys kept their addresses across the
+#: v2 migration.  Bump only when the *meaning* of a cached payload
+#: changes.
 DIGEST_SCHEMA = 1
 
 #: zlib level for new entries: 6 is within a few percent of level 9's
@@ -79,10 +75,6 @@ class CacheStats:
     misses: int = 0
     writes: int = 0
     corrupted: int = 0
-    #: Hits served from legacy v1 per-file entries (observability for
-    #: the v2 migration: a warm cache that still shows legacy hits has
-    #: not been rewritten yet).
-    legacy_hits: int = 0
 
     @property
     def lookups(self) -> int:
@@ -129,11 +121,6 @@ class ResultCache:
     def _check_key(key: str) -> None:
         if len(key) < 8 or not all(c in "0123456789abcdef" for c in key):
             raise ExperimentError(f"malformed cache key {key!r}")
-
-    def _legacy_path(self, key: str) -> Path:
-        """Where a v1 (one raw pickle per entry) record would live."""
-        self._check_key(key)
-        return self.root / key[:2] / f"{key[2:]}.pkl"
 
     # -- manifest index ------------------------------------------------
 
@@ -235,34 +222,20 @@ class ResultCache:
         if key not in self._index:
             self._refresh_index()
         entry = self._index.get(key)
-        if entry is not None:
-            try:
-                value = self._read_blob(*entry)
-            except Exception:
-                # Torn blob, bad CRC, unpicklable garbage: forget the
-                # record (a later put appends a superseding one) and
-                # recompute rather than fail the sweep.
-                del self._index[key]
-                self.stats.corrupted += 1
-                self.stats.misses += 1
-                return None
-            self.stats.hits += 1
-            return value
-        # Transparent fallback to a legacy v1 per-file entry.
-        path = self._legacy_path(key)
-        try:
-            with path.open("rb") as fh:
-                value = pickle.load(fh)
-        except FileNotFoundError:
+        if entry is None:
             self.stats.misses += 1
             return None
+        try:
+            value = self._read_blob(*entry)
         except Exception:
+            # Torn blob, bad CRC, unpicklable garbage: forget the
+            # record (a later put appends a superseding one) and
+            # recompute rather than fail the sweep.
+            del self._index[key]
             self.stats.corrupted += 1
             self.stats.misses += 1
-            path.unlink(missing_ok=True)
             return None
         self.stats.hits += 1
-        self.stats.legacy_hits += 1
         return value
 
     def put(self, key: str, value) -> None:
@@ -292,13 +265,9 @@ class ResultCache:
         self.stats.writes += 1
 
     def keys(self) -> set[str]:
-        """Every reachable key: the manifest index plus legacy entries."""
+        """Every reachable key in the manifest index."""
         self._refresh_index()
-        legacy = {
-            p.parent.name + p.stem
-            for p in self.root.glob("[0-9a-f][0-9a-f]/*.pkl")
-        }
-        return set(self._index) | legacy
+        return set(self._index)
 
     def close(self) -> None:
         """Release file handles (safe to call more than once)."""
@@ -321,7 +290,7 @@ class ResultCache:
         self._check_key(key)
         if key not in self._index:
             self._refresh_index()
-        return key in self._index or self._legacy_path(key).exists()
+        return key in self._index
 
     def __len__(self) -> int:
         return len(self.keys())

@@ -37,11 +37,10 @@ of the scalar engine:
   measurement protocol's trimming statistics apply to hetero cells
   exactly as to CPU-only ones.
 
-The legacy two-device construction (``kernels=[...]``,
-``total_budget_w=...``, ``coordinated=True/False``) still works: it
-maps onto a single-GPU node with zero-byte transfers and a
-:class:`~repro.core.split.CoordinatedSplit`/:class:`~repro.core.split.
-StaticSplit` policy.
+Dynamic policies are fed the same tolerance-aware bids as the
+per-socket budget controllers (:func:`~repro.core.tolerance.
+tolerance_bid`): a throttled device bids above its limit, a device
+within its tolerance offers a step back.
 """
 
 from __future__ import annotations
@@ -51,10 +50,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import ControllerConfig, NoiseConfig, SocketConfig, yeti_socket_config
-from ..core.split import CoordinatedSplit, SplitPolicy, StaticSplit
-from ..core.tolerance import SlowdownTracker, ToleranceVerdict
+from ..core.split import SplitPolicy, clamp_to_bands
+from ..core.tolerance import SlowdownTracker, tolerance_bid
 from ..errors import SimulationError
-from ..hardware.gpu import GPUConfig, GPUKernel, GPUNodeConfig, SimulatedGPU
+from ..hardware.gpu import GPUKernel, GPUNodeConfig, SimulatedGPU
 from ..hardware.processor import SimulatedProcessor
 from ..workloads.application import Application
 from ..workloads.phase import NominalRates
@@ -68,6 +67,11 @@ __all__ = ["HeteroResult", "HeteroEngine"]
 #: (which derives from the same run seed).
 _JITTER_STREAM = 0x48E7
 
+#: Dynamic policies re-split the budget every this many seconds.
+REALLOC_PERIOD_S = 1.0
+#: Simulated-time limit of one run, seconds.
+MAX_SIM_TIME_S = 600.0
+
 
 @dataclass
 class HeteroResult:
@@ -77,9 +81,6 @@ class HeteroResult:
     gpu_finish_s: float
     cpu_energy_j: float
     gpu_energy_j: float
-    #: (time, cpu_alloc, summed_gpu_alloc) per re-allocation — the
-    #: original two-column view, kept for existing consumers.
-    allocations: list[tuple[float, float, float]] = field(default_factory=list)
     #: (time, (cpu_alloc, gpu0_alloc, ...)) per re-allocation.
     device_allocations: list[tuple[float, tuple[float, ...]]] = field(
         default_factory=list
@@ -107,8 +108,8 @@ class _GPUTask:
     Each kernel passes through three stages: ``in`` (host→device input
     over the shared link), ``compute`` (roofline execution), ``out``
     (device→host output).  Zero-byte transfers complete without
-    consuming a tick, which keeps the legacy transfer-free setup
-    numerically identical to the original engine.
+    consuming a tick, so a transfer-free node (``input_bytes =
+    output_bytes = 0``) runs pure compute.
     """
 
     __slots__ = (
@@ -146,27 +147,13 @@ class HeteroEngine:
     """One CPU socket plus a GPU node under a shared power budget."""
 
     application: Application
-    #: Legacy explicit kernel queue (single GPU); ``None`` derives the
-    #: queue from ``node``.
-    kernels: list[GPUKernel] | None = None
-    #: Legacy shared budget; superseded by ``policy.budget_w`` when a
-    #: policy object is supplied.
-    total_budget_w: float | None = None
+    #: The GPU side of the node (count, kernel queue, link).
+    node: GPUNodeConfig
+    #: Budget-split strategy; its ``budget_w`` is the shared budget.
+    policy: SplitPolicy
     cfg: ControllerConfig = field(default_factory=ControllerConfig)
     socket_cfg: SocketConfig = field(default_factory=yeti_socket_config)
-    #: Legacy single-GPU model; ``node`` takes precedence.
-    gpu_cfg: GPUConfig = field(default_factory=GPUConfig)
-    #: The GPU side of the node (count, kernel queue, link).
-    node: GPUNodeConfig | None = None
-    #: Budget-split strategy; ``None`` derives one from the legacy
-    #: ``coordinated`` flag and ``total_budget_w``.
-    policy: SplitPolicy | None = None
     dt_s: float = 0.01
-    #: Re-allocate every this many seconds (dynamic policies only).
-    realloc_period_s: float = 1.0
-    #: Legacy mode switch; ignored when ``policy`` is supplied.
-    coordinated: bool = True
-    max_sim_time_s: float = 600.0
     #: Per-run seed driving jitter and fault draws.
     seed: int = 0
     #: Run-to-run noise; ``None`` disables jitter entirely.
@@ -179,61 +166,37 @@ class HeteroEngine:
     def __post_init__(self) -> None:
         self.cfg.validate()
         self.socket_cfg.validate()
-        if self.node is not None:
-            self.node.validate()
-            self._node = self.node
-        else:
-            # Legacy: a single GPU with no modelled transfers.
-            self.gpu_cfg.validate()
-            self._node = GPUNodeConfig(
-                gpu=self.gpu_cfg, gpu_count=1, input_bytes=0.0, output_bytes=0.0
-            )
-        if self.kernels is not None:
-            if not self.kernels:
-                raise SimulationError("GPU needs at least one kernel")
-            self._kernels = list(self.kernels)
-        else:
-            self._kernels = self._node.build_kernels()
-        if self.policy is not None:
-            self._policy = self.policy
-        else:
-            if self.total_budget_w is None:
-                raise SimulationError("hetero run needs a budget or a policy")
-            self._policy = (
-                CoordinatedSplit(self.total_budget_w)
-                if self.coordinated
-                else StaticSplit(self.total_budget_w, cpu_fraction=0.5)
-            )
+        self.node.validate()
         if self.faults is not None:
             self.faults.validate()
         floors = self._floors()
-        if self._policy.budget_w < sum(floors):
+        if self.policy.budget_w < sum(floors):
             raise SimulationError(
-                f"budget {self._policy.budget_w} W below the combined "
+                f"budget {self.policy.budget_w} W below the combined "
                 f"floor {sum(floors)} W"
             )
 
     # -- device bounds ---------------------------------------------------------
 
     def _floors(self) -> list[float]:
-        gpu_floor = self._node.gpu.power_limit_floor_w
-        return [self.cfg.cap_floor_w] + [gpu_floor] * self._node.gpu_count
+        gpu_floor = self.node.gpu.power_limit_floor_w
+        return [self.cfg.cap_floor_w] + [gpu_floor] * self.node.gpu_count
 
     def _ceilings(self) -> list[float]:
-        gpu_ceiling = self._node.gpu.power_limit_default_w
+        gpu_ceiling = self.node.gpu.power_limit_default_w
         return [self.socket_cfg.rapl.pl1_default_w] + [
             gpu_ceiling
-        ] * self._node.gpu_count
+        ] * self.node.gpu_count
 
     # -- the run ---------------------------------------------------------------
 
     def run(self) -> HeteroResult:
-        node = self._node
-        policy = self._policy
+        node = self.node
+        policy = self.policy
         n_gpus = node.gpu_count
         rng = np.random.default_rng([abs(int(self.seed)), _JITTER_STREAM])
         app = self.application
-        kernels = self._kernels
+        kernels = node.build_kernels()
         if self.noise is not None and self.noise.duration_jitter > 0.0:
             app = app.jittered(rng, self.noise.duration_jitter)
             # Kernel volumes jitter multiplicatively like CPU phases.
@@ -295,10 +258,7 @@ class HeteroEngine:
 
         def apply(now: float) -> None:
             nonlocal allocs
-            allocs = [
-                min(max(a, lo), hi)
-                for a, lo, hi in zip(allocs, floors, ceilings)
-            ]
+            allocs = clamp_to_bands(allocs, floors, ceilings)
             dropped = cpu_latch()[0] if cpu_latch is not None else False
             if not dropped:
                 cpu.rapl.set_limits(allocs[0], allocs[0])
@@ -306,13 +266,12 @@ class HeteroEngine:
                 if injector is not None and injector.gpu_cap_latch_fails(1 + i):
                     continue
                 gpu.set_power_limit(allocs[1 + i])
-            result.allocations.append((now, allocs[0], sum(allocs[1:])))
             result.device_allocations.append((now, tuple(allocs)))
 
         apply(0.0)
 
         now = 0.0
-        next_realloc = self.realloc_period_s
+        next_realloc = REALLOC_PERIOD_S
         cpu_phase = 0
         cpu_done_frac = 0.0
         cpu_finish: float | None = None
@@ -372,7 +331,7 @@ class HeteroEngine:
 
         try:
             while cpu_finish is None or any(t.finish is None for t in tasks):
-                if now >= self.max_sim_time_s:
+                if now >= MAX_SIM_TIME_S:
                     raise SimulationError(
                         "hetero simulation exceeded the time limit"
                     )
@@ -403,26 +362,26 @@ class HeteroEngine:
                 now += self.dt_s
 
                 if not policy.is_static and now + 1e-9 >= next_realloc:
-                    next_realloc += self.realloc_period_s
+                    next_realloc += REALLOC_PERIOD_S
+                    step_w = self.cfg.cap_step_w
                     demands = [
-                        self._demand(
-                            cpu_tracker,
-                            cpu.state.flops_rate,
-                            cpu.state.package.total_w,
+                        tolerance_bid(
+                            cpu_tracker.judge(cpu.state.flops_rate),
                             allocs[0],
+                            cpu.state.package.total_w,
+                            step_w,
                             floors[0],
                         )
-                    ]
-                    for i, gpu in enumerate(gpus):
-                        demands.append(
-                            self._demand(
-                                gpu_trackers[i],
-                                gpu.state.flops_rate,
-                                gpu.state.power_w,
-                                allocs[1 + i],
-                                floors[1 + i],
-                            )
+                    ] + [
+                        tolerance_bid(
+                            gpu_trackers[i].judge(gpu.state.flops_rate),
+                            allocs[1 + i],
+                            gpu.state.power_w,
+                            step_w,
+                            floors[1 + i],
                         )
+                        for i, gpu in enumerate(gpus)
+                    ]
                     allocs = policy.allocate(demands, floors, ceilings)
                     apply(now)
 
@@ -469,21 +428,3 @@ class HeteroEngine:
         if injector is not None:
             result.fault_events = list(injector.events)
         return result
-
-    def _demand(
-        self,
-        tracker: SlowdownTracker,
-        flops_rate: float,
-        power_w: float,
-        limit_w: float,
-        floor_w: float,
-    ) -> float:
-        """One device's bid for the next period, the paper's rule: a
-        throttled device bids above its limit, a device within its
-        tolerance offers a step back."""
-        verdict = tracker.judge(flops_rate)
-        if verdict is ToleranceVerdict.BELOW:
-            return limit_w + 2 * self.cfg.cap_step_w
-        if verdict is ToleranceVerdict.WITHIN:
-            return max(power_w - self.cfg.cap_step_w, floor_w)
-        return power_w

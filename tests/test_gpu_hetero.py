@@ -3,18 +3,27 @@
 import pytest
 
 from repro.config import ControllerConfig
+from repro.core.registry import make_spec, split_policy
 from repro.errors import ConfigurationError, HardwareError, SimulationError
-from repro.hardware.gpu import GPUConfig, GPUKernel, SimulatedGPU
+from repro.hardware.gpu import GPUConfig, GPUKernel, GPUNodeConfig, SimulatedGPU
 from repro.sim.hetero import HeteroEngine
 from repro.workloads.catalog import build_application
 
 
-def balanced_kernels(n=8, flops_each=6e12):
-    """DGEMM-ish kernels at ~0.5 compute utilisation (192 W at speed)."""
-    return [
-        GPUKernel(f"k[{i}]", flops=flops_each, bytes=flops_each / 8.0)
-        for i in range(n)
-    ]
+def balanced_node(n=8, flops_each=6e12):
+    """One GPU draining DGEMM-ish kernels at ~0.5 compute utilisation
+    (192 W at speed), with no modelled host<->device transfers."""
+    return GPUNodeConfig(
+        kernel_count=n,
+        kernel_flops=flops_each,
+        kernel_bytes=flops_each / 8,
+        input_bytes=0.0,
+        output_bytes=0.0,
+    )
+
+
+def split(name, budget_w=300.0):
+    return split_policy(make_spec(name, budget_w=budget_w))
 
 
 class TestGPUConfig:
@@ -95,34 +104,31 @@ class TestHeteroEngine:
     def scenario(self):
         """Feasible budget: CG needs ~100 W, the GPU ~192 W; 300 W total."""
         app = build_application("CG", scale=0.5)
-        kernels = balanced_kernels()
         cfg = ControllerConfig(tolerated_slowdown=0.10)
         static = HeteroEngine(
             application=app,
-            kernels=kernels,
-            total_budget_w=300.0,
+            node=balanced_node(),
+            policy=split("hetero-static"),
             cfg=cfg,
-            coordinated=False,
         ).run()
         coordinated = HeteroEngine(
             application=app,
-            kernels=kernels,
-            total_budget_w=300.0,
+            node=balanced_node(),
+            policy=split("hetero-coord"),
             cfg=cfg,
-            coordinated=True,
         ).run()
         return static, coordinated
 
     def test_budget_always_respected(self, scenario):
         _, coordinated = scenario
-        for _, cpu_w, gpu_w in coordinated.allocations:
+        for _, (cpu_w, gpu_w) in coordinated.device_allocations:
             assert cpu_w + gpu_w <= 300.0 + 1e-6
 
     def test_coordination_moves_watts_to_the_gpu(self, scenario):
         static, coordinated = scenario
-        final_static = static.allocations[-1]
-        final_coord = coordinated.allocations[-1]
-        assert final_coord[2] > final_static[2]
+        _, (_, gpu_static) = static.device_allocations[-1]
+        _, (_, gpu_coord) = coordinated.device_allocations[-1]
+        assert gpu_coord > gpu_static
 
     def test_gpu_faster_when_coordinated(self, scenario):
         static, coordinated = scenario
@@ -150,16 +156,16 @@ class TestHeteroEngine:
         with pytest.raises(SimulationError):
             HeteroEngine(
                 application=build_application("CG", scale=0.2),
-                kernels=balanced_kernels(2),
-                total_budget_w=100.0,
+                node=balanced_node(2),
+                policy=split("hetero-coord", budget_w=100.0),
             )
 
     def test_empty_kernel_queue_rejected(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigurationError):
             HeteroEngine(
                 application=build_application("CG", scale=0.2),
-                kernels=[],
-                total_budget_w=300.0,
+                node=balanced_node(0),
+                policy=split("hetero-coord"),
             )
 
 
@@ -169,20 +175,19 @@ class TestHeteroDetails:
 
         result = HeteroEngine(
             application=build_application("EP", scale=0.1),
-            kernels=balanced_kernels(2, flops_each=2e12),
-            total_budget_w=300.0,
+            node=balanced_node(2, flops_each=2e12),
+            policy=split("hetero-static"),
             cfg=ControllerConfig(tolerated_slowdown=0.10),
-            coordinated=False,
         ).run()
-        assert len(result.allocations) == 1
+        assert len(result.device_allocations) == 1
 
     def test_result_accessors(self):
         from repro.config import ControllerConfig
 
         result = HeteroEngine(
             application=build_application("EP", scale=0.1),
-            kernels=balanced_kernels(2, flops_each=2e12),
-            total_budget_w=300.0,
+            node=balanced_node(2, flops_each=2e12),
+            policy=split("hetero-coord"),
             cfg=ControllerConfig(tolerated_slowdown=0.10),
         ).run()
         assert result.makespan_s == max(result.cpu_finish_s, result.gpu_finish_s)

@@ -424,34 +424,6 @@ class TestCacheV2:
         assert key in reader
         assert reader.get(key) is not None
         assert reader.stats.hits == 1
-        assert reader.stats.legacy_hits == 0
-
-    def test_legacy_uncompressed_entry_read_transparently(self, tmp_path):
-        result = execute_spec(small_spec())
-        key = spec_key(small_spec())
-        legacy = tmp_path / key[:2] / f"{key[2:]}.pkl"
-        legacy.parent.mkdir(parents=True)
-        legacy.write_bytes(pickle.dumps(result))
-
-        cache = ResultCache(tmp_path)
-        assert key in cache
-        assert len(cache) == 1
-        got = cache.get(key)
-        assert got is not None and got.times_s == result.times_s
-        assert cache.stats.legacy_hits == 1
-        # A warm sweep over a v1-only cache executes nothing.
-        _, summary = run_specs([small_spec()], cache=cache)
-        assert summary.hits == 1
-
-    def test_new_write_supersedes_legacy_entry(self, tmp_path):
-        key = spec_key(small_spec())
-        legacy = tmp_path / key[:2] / f"{key[2:]}.pkl"
-        legacy.parent.mkdir(parents=True)
-        legacy.write_bytes(pickle.dumps("stale"))
-        cache = ResultCache(tmp_path)
-        cache.put(key, "fresh")
-        assert cache.get(key) == "fresh"
-        assert len(cache) == 1  # one key, two formats
 
     def test_torn_manifest_tail_is_ignored(self, tmp_path):
         cache = ResultCache(tmp_path)
