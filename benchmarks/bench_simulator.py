@@ -10,6 +10,8 @@ lockstep batch at widths 1/4/16/64 of the same run; per-run cost
 should *fall* as N grows — that amortisation is the engine's entire
 reason to exist (scripts/bench_baseline.py gates the 64-cell speedup
 in CI; these curves show where it comes from).
+``test_batch_run_dufp_traced_64`` is the same 64-wide batch with
+in-memory traces on every lane.
 """
 
 import pytest
@@ -69,7 +71,7 @@ def test_full_cg_run_dufp(benchmark):
     )
 
 
-def _batch_engines(n):
+def _batch_engines(n, record_trace=False):
     """``n`` independently seeded copies of the DUFP CG run."""
     app = build_application("CG", scale=0.3)
     cfg = ControllerConfig(tolerated_slowdown=0.10)
@@ -80,7 +82,7 @@ def _batch_engines(n):
             controller_cfg=cfg,
             noise=QUIET,
             seed=seed,
-            record_trace=False,
+            record_trace=record_trace,
         )
         for seed in range(n)
     ]
@@ -95,6 +97,20 @@ def test_batch_run_dufp(benchmark, n):
     """
     benchmark.pedantic(
         lambda: run_batch(_batch_engines(n)), rounds=2, iterations=1
+    )
+
+
+def test_batch_run_dufp_traced_64(benchmark):
+    """The 64-run batch with every lane recording an in-memory trace.
+
+    Against ``test_batch_run_dufp[64]`` this is the cost of columnar
+    trace recording: one buffer row per tick, one block per socket per
+    chunk (see ``repro.sim.trace``).
+    """
+    benchmark.pedantic(
+        lambda: run_batch(_batch_engines(64, record_trace=True)),
+        rounds=2,
+        iterations=1,
     )
 
 

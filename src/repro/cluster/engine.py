@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from ..config import (
     ControllerConfig,
@@ -43,7 +43,7 @@ from ..sim.faults import FaultPlan
 from ..sim.machine import SimulatedMachine
 from ..sim.result import RunResult, TraceSample
 from ..sim.run import build_engine
-from ..sim.trace import TraceSink
+from ..sim.trace import TraceRecord, TraceSink
 from ..workloads.application import Application
 from .metrics import jain_index, percentile, slowdown_ratios
 from .spec import ClusterSpec
@@ -97,8 +97,8 @@ class _NodeSink(TraceSink):
     def close(self) -> None:
         """Absorbed: the cluster engine closes the shared sink."""
 
-    def record(self, socket_id: int, sample: TraceSample) -> None:
-        """Forward the sample under its cluster-global socket id."""
+    def record(self, socket_id: int, sample: TraceRecord) -> None:
+        """Forward the sample (or block) under its cluster-global socket id."""
         self._target.record(self._base + socket_id, sample)
 
     def record_event(self, socket_id: int, event: "FaultEvent") -> None:
@@ -111,7 +111,7 @@ class _NodeSink(TraceSink):
         else:
             self._target.record_event(socket_id, event)
 
-    def collected(self, socket_id: int) -> list[TraceSample]:
+    def collected(self, socket_id: int) -> Sequence[TraceSample]:
         """Whatever the shared sink retained for the global id."""
         return self._target.collected(self._base + socket_id)
 

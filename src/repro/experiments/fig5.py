@@ -14,6 +14,7 @@ from ..analysis.series import resample_series
 from ..analysis.tables import format_table
 from ..config import ControllerConfig, NoiseConfig
 from ..core.registry import controller_factory
+from ..sim.result import TraceColumns
 from ..sim.run import run_application
 from ..workloads.catalog import build_application
 
@@ -71,8 +72,9 @@ def fig5(
             record_trace=True,
         )
         sock = run.socket(0)
-        times = [s.time_s for s in sock.trace]
-        freqs = [s.core_freq_hz / 1e9 for s in sock.trace]
+        cols = TraceColumns.from_samples(sock.trace)
+        times = cols.time_s.tolist()
+        freqs = (cols.core_freq_hz / 1e9).tolist()
         series[label] = resample_series(times, freqs, sample_interval_s)
         averages[label] = sock.average_core_freq_hz() / 1e9
     return Fig5Result(

@@ -1,7 +1,7 @@
 """Discrete-time co-simulation of machine, workload and controllers."""
 
 from .machine import SimulatedMachine, yeti_machine
-from .result import RunResult, TraceSample, PhaseSpan, SocketResult
+from .result import RunResult, TraceColumns, TraceSample, PhaseSpan, SocketResult
 from .engine import SimulationEngine
 from .faults import FaultEvent, FaultInjector, FaultPlan, parse_fault_plan
 from .run import run_application
@@ -26,6 +26,7 @@ __all__ = [
     "yeti_machine",
     "RunResult",
     "TraceSample",
+    "TraceColumns",
     "PhaseSpan",
     "SocketResult",
     "SimulationEngine",

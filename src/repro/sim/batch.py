@@ -60,7 +60,13 @@ from ..hardware.uncore import DefaultUncoreGovernor, TpmiUncore
 from ..papi.events import CACHE_LINE_BYTES
 from ..units import smooth_max
 from .engine import _DONE_EPS, _MIN_SLICE_S, RunContext, SimulationEngine
-from .result import PhaseSpan, RunResult, TraceSample
+from .result import PhaseSpan, RunResult
+
+#: Bounds of the columnar trace buffer: at most this many ticks per
+#: chunk, and at most this many bytes for the whole
+#: ``(chunk, fields, lanes)`` buffer, whichever is smaller.
+TRACE_CHUNK_TICKS = 1024
+TRACE_CHUNK_BYTES = 8 << 20
 
 __all__ = [
     "BatchSimulationEngine",
@@ -183,6 +189,7 @@ class BatchSimulationEngine:
         for ctx in ctxs:
             ctx.runtime.start()
         self._build_lanes(ctxs)
+        self._setup_trace(ctxs)
 
         closed: set[int] = set()
         self._tracing = any(ctx.sink is not None for ctx in ctxs)
@@ -195,9 +202,14 @@ class BatchSimulationEngine:
             ):
                 self._loop(ctxs, closed)
         finally:
+            # A run that raised still hands its sinks the rows recorded
+            # so far, as the scalar engine would have.
             for r, ctx in enumerate(ctxs):
                 if ctx.sink is not None and r not in closed:
-                    ctx.sink.close()
+                    try:
+                        self._flush_trace(ctxs, r)
+                    finally:
+                        ctx.sink.close()
 
         results = []
         for r, (e, ctx) in enumerate(zip(self.engines, ctxs)):
@@ -701,6 +713,7 @@ class BatchSimulationEngine:
                         if self._vec_run[r]:
                             self._sync_lane_controllers(r, ctx)
                         if ctx.sink is not None:
+                            self._flush_trace(ctxs, r)
                             ctx.sink.close()
                             closed.add(r)
                 self._maybe_done.clear()
@@ -708,37 +721,82 @@ class BatchSimulationEngine:
                 self._all_alive = bool(alive.all())
                 next_due = float(self.next_tick.min())
 
+    # -- columnar trace recording ------------------------------------------------------
+
+    def _setup_trace(self, ctxs: list[RunContext]) -> None:
+        """Size the trace buffer to the recording runs' lanes.
+
+        Each tick :meth:`_record` copies the trace fields of every
+        recording lane into one ``(fields, lanes)`` row of a
+        ``(chunk, fields, lanes)`` buffer; the rows reach the sinks as
+        per-socket ``(fields, k)`` blocks (see :mod:`repro.sim.trace`).
+        """
+        cols: dict[int, list[int]] = {}
+        lanes: list[int] = []
+        for r, ctx in enumerate(ctxs):
+            if ctx.sink is not None:
+                run_lanes = self.run_lanes[r]
+                cols[r] = list(range(len(lanes), len(lanes) + len(run_lanes)))
+                lanes.extend(run_lanes)
+        # Column j of a row is lane ``lanes[j]``; ``None`` when every
+        # lane records (then the columns are the lanes, in order).
+        self._trace_cols = cols
+        self._trace_lanes = None if len(lanes) == self.L else np.array(lanes)
+        # In ``repro.sim.result.TRACE_FIELDS`` order.  None of these
+        # arrays is ever rebound, so the list stays current.
+        self._trace_src = [
+            self.proc_now,
+            self.st_core,
+            self.st_uncore,
+            self.st_pkg,
+            self.st_dram,
+            self.pl1_w,
+            self.st_flops,
+            self.st_bytes,
+        ]
+        if self.has_thermal:
+            self._trace_src.append(self.temp)
+        row_bytes = 8 * len(self._trace_src) * max(len(lanes), 1)
+        chunk = max(1, min(TRACE_CHUNK_TICKS, TRACE_CHUNK_BYTES // row_bytes))
+        self._trace_buf = np.empty((chunk, len(self._trace_src), len(lanes)))
+        #: Rows of the current chunk written so far, and per run the
+        #: first row not yet handed to its sink.
+        self._trace_n = 0
+        self._trace_from = [0] * len(ctxs)
+
     def _record(self, ctxs: list[RunContext], trace_runs: list[int]) -> None:
-        """Materialise this tick's trace samples for recording runs."""
-        times = self.proc_now.tolist()
-        cores = self.st_core.tolist()
-        uncores = self.st_uncore.tolist()
-        pkgs = self.st_pkg.tolist()
-        drams = self.st_dram.tolist()
-        caps = self.pl1_w.tolist()
-        flops = self.st_flops.tolist()
-        bts = self.st_bytes.tolist()
-        temps = self.temp.tolist() if self.has_thermal else None
-        alive = self.alive
-        for r in trace_runs:
-            if not alive[r]:
-                continue
-            record = ctxs[r].sink.record
-            for s, l in enumerate(self.run_lanes[r]):
-                record(
-                    s,
-                    TraceSample(
-                        time_s=times[l],
-                        core_freq_hz=cores[l],
-                        uncore_freq_hz=uncores[l],
-                        package_power_w=pkgs[l],
-                        dram_power_w=drams[l],
-                        cap_w=caps[l],
-                        flops_rate=flops[l],
-                        bytes_rate=bts[l],
-                        temperature_c=temps[l] if temps is not None else None,
-                    ),
-                )
+        """Copy this tick's trace fields into the next buffer row.
+
+        A full chunk is first handed to every live recording run.
+        """
+        n = self._trace_n
+        if n == len(self._trace_buf):
+            alive = self.alive
+            for r in trace_runs:
+                if alive[r]:
+                    self._flush_trace(ctxs, r)
+            n = 0
+            self._trace_from = [0] * len(ctxs)
+        row = self._trace_buf[n]
+        lanes = self._trace_lanes
+        for f, src in enumerate(self._trace_src):
+            if lanes is None:
+                row[f] = src
+            else:
+                # "clip" writes straight into ``out``; the default
+                # "raise" mode goes through a temporary.
+                np.take(src, lanes, out=row[f], mode="clip")
+        self._trace_n = n + 1
+
+    def _flush_trace(self, ctxs: list[RunContext], r: int) -> None:
+        """Hand run ``r``'s sockets their rows not yet recorded."""
+        start, n = self._trace_from[r], self._trace_n
+        if start == n:
+            return
+        self._trace_from[r] = n
+        record = ctxs[r].sink.record
+        for s, j in enumerate(self._trace_cols[r]):
+            record(s, self._trace_buf[start:n, :, j].T)
 
     # -- lane-parallel controller ticks ------------------------------------------------
     #

@@ -15,7 +15,7 @@ from typing import IO
 
 from ..errors import SimulationError
 from .faults import NODE_WIDE, FaultEvent
-from .result import RunResult, SocketResult
+from .result import TRACE_FIELDS, RunResult, SocketResult
 from .trace import jsonl_event_line, jsonl_sample_line
 
 __all__ = [
@@ -27,18 +27,6 @@ __all__ = [
     "write_summary_json",
 ]
 
-#: Column order of the trace CSV.
-TRACE_FIELDS = (
-    "time_s",
-    "core_freq_hz",
-    "uncore_freq_hz",
-    "package_power_w",
-    "dram_power_w",
-    "cap_w",
-    "flops_rate",
-    "bytes_rate",
-    "temperature_c",
-)
 
 
 def trace_to_csv(socket: SocketResult, stream: IO[str]) -> int:

@@ -2,19 +2,24 @@
 
 import io
 
+import numpy as np
 import pytest
 
-from repro.config import ControllerConfig, NoiseConfig
+from repro.config import ControllerConfig, EngineConfig, NoiseConfig
 from repro.core.registry import controller_factory
 from repro.errors import SimulationError
+from repro.sim import batch
+from repro.sim.batch import BatchSimulationEngine
 from repro.sim.export import trace_to_jsonl
-from repro.sim.run import run_application
+from repro.sim.result import TraceColumns
+from repro.sim.run import build_engine, run_application
 from repro.sim.trace import (
     CSV_HEADER,
     CompositeTraceSink,
     InMemoryTraceSink,
     RingBufferTraceSink,
     StreamingTraceSink,
+    TraceSink,
 )
 from repro.workloads.catalog import build_application
 
@@ -121,3 +126,147 @@ class TestCompositeSink:
     def test_needs_a_child(self):
         with pytest.raises(SimulationError):
             CompositeTraceSink()
+
+
+# -- sinks on the batch engine ------------------------------------------------------
+#
+# The batch engine hands sinks per-socket ``(fields, k)`` blocks of at
+# most one chunk; every sink must end up with what the scalar engine's
+# one-sample records give it.  ``CHUNK`` is shrunk so that every run
+# spans several chunks and finishes mid-chunk.
+
+CHUNK = 50
+
+#: (application, seed, sockets, scale): runs of different lengths,
+#: one of them on two sockets.
+CASES = [("EP", 7, 2, 0.2), ("CG", 3, 1, 0.12), ("EP", 11, 1, 0.15)]
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(batch, "TRACE_CHUNK_TICKS", CHUNK)
+
+
+def _engine(case, sink=None, engine_cfg=None):
+    app, seed, sockets, scale = case
+    return build_engine(
+        build_application(app, scale=scale),
+        controller_factory("dufp", CFG),
+        controller_cfg=CFG,
+        noise=QUIET,
+        seed=seed,
+        socket_count=sockets,
+        engine_cfg=engine_cfg,
+        record_trace=False,
+        trace_sink=sink,
+    )
+
+
+def _scalar_and_batch(make_sink, **kwargs):
+    """Run every case through both engines, each with a fresh sink.
+
+    The batch also carries one run without a sink, so the recording
+    lanes are a subset of the batch's lanes.
+    """
+    scalar_sinks = [make_sink() for _ in CASES]
+    scalar = [_engine(c, s, **kwargs).run() for c, s in zip(CASES, scalar_sinks)]
+    batch_sinks = [make_sink() for _ in CASES]
+    engines = [_engine(c, s, **kwargs) for c, s in zip(CASES, batch_sinks)]
+    engines.insert(1, _engine(("CG", 5, 1, 0.1)))
+    lanes = BatchSimulationEngine(engines).run()
+    del lanes[1]
+    return (scalar, scalar_sinks), (lanes, batch_sinks)
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestBatchEngineSinks:
+    def test_runs_span_chunks_and_finish_mid_chunk(self):
+        (scalar, _), _ = _scalar_and_batch(InMemoryTraceSink)
+        lengths = [len(r.socket(0).trace) for r in scalar]
+        assert min(lengths) > 2 * CHUNK
+        assert all(n % CHUNK for n in lengths)
+        assert len(set(lengths)) == len(lengths)
+
+    @pytest.mark.parametrize("fmt", StreamingTraceSink.FORMATS)
+    def test_streaming_is_byte_identical(self, fmt):
+        (_, scalar_sinks), (_, batch_sinks) = _scalar_and_batch(
+            lambda: StreamingTraceSink(io.StringIO(), fmt=fmt)
+        )
+        for a, b in zip(scalar_sinks, batch_sinks):
+            assert b._target.getvalue() == a._target.getvalue()
+            assert b.rows == a.rows > 2 * CHUNK
+
+    @pytest.mark.parametrize("capacity", [CHUNK // 2, 3 * CHUNK])
+    def test_ring_buffer_keeps_the_same_tail(self, capacity):
+        (scalar, scalar_sinks), (lanes, batch_sinks) = _scalar_and_batch(
+            lambda: RingBufferTraceSink(capacity=capacity)
+        )
+        for a, b, ra, rb in zip(scalar_sinks, batch_sinks, scalar, lanes):
+            assert b.seen == a.seen
+            for sa, sb in zip(ra.sockets, rb.sockets):
+                assert len(sb.trace) == capacity
+                assert sb.trace == sa.trace
+
+    def test_composite_streams_and_retains(self):
+        def make():
+            return CompositeTraceSink(
+                StreamingTraceSink(io.StringIO()), InMemoryTraceSink()
+            )
+
+        (scalar, scalar_sinks), (lanes, batch_sinks) = _scalar_and_batch(make)
+        for a, b, ra, rb in zip(scalar_sinks, batch_sinks, scalar, lanes):
+            streamed_a, streamed_b = a.sinks[0]._target, b.sinks[0]._target
+            assert streamed_b.getvalue() == streamed_a.getvalue()
+            for sa, sb in zip(ra.sockets, rb.sockets):
+                assert type(sb.trace) is TraceColumns
+                assert sb.trace == sa.trace
+
+    def test_failed_run_streams_what_it_recorded(self):
+        cfg = EngineConfig(max_sim_time_s=1.0)
+        streams = []
+        for runner in (
+            lambda e: e.run(),
+            lambda e: BatchSimulationEngine([e]).run(),
+        ):
+            sink = StreamingTraceSink(io.StringIO())
+            with pytest.raises(SimulationError, match="exceeded"):
+                runner(_engine(CASES[0], sink, engine_cfg=cfg))
+            streams.append(sink._target.getvalue())
+        assert streams[1] == streams[0]
+        assert len(streams[0].splitlines()) == 2 * 100
+
+
+class _BlockLog(TraceSink):
+    """Remembers the shape of every block it is handed."""
+
+    def open(self, socket_count):
+        self.shapes = []
+
+    def record(self, socket_id, sample):
+        self.shapes.append((socket_id, sample.shape))
+
+
+class TestBatchTraceBuffer:
+    def test_blocks_are_bounded_by_the_chunk(self, small_chunks):
+        log = _BlockLog()
+        (result,) = BatchSimulationEngine([_engine(CASES[0], log)]).run()
+        ticks = result.execution_time_s / 0.01
+        assert {sid for sid, _ in log.shapes} == {0, 1}
+        sizes = [shape[1] for sid, shape in log.shapes if sid == 0]
+        assert max(sizes) == CHUNK
+        assert sum(sizes) == len(sizes[:-1]) * CHUNK + sizes[-1]
+        assert sum(sizes) == pytest.approx(ticks, abs=1)
+        assert all(shape[0] == 8 for _, shape in log.shapes)
+
+    def test_buffer_size_does_not_grow_with_run_length(self):
+        engine = BatchSimulationEngine(
+            [_engine(c, InMemoryTraceSink()) for c in CASES]
+        )
+        engine.run()
+        assert len(engine._trace_buf) <= batch.TRACE_CHUNK_TICKS
+        assert engine._trace_buf.nbytes <= batch.TRACE_CHUNK_BYTES
+
+    def test_streaming_block_before_open_rejected(self):
+        sink = StreamingTraceSink(io.StringIO())
+        with pytest.raises(SimulationError):
+            sink.record(0, np.zeros((8, 3)))
