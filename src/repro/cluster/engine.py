@@ -43,12 +43,14 @@ from ..sim.faults import FaultPlan
 from ..sim.machine import SimulatedMachine
 from ..sim.result import RunResult, TraceSample
 from ..sim.run import build_engine
-from ..sim.trace import TraceRecord, TraceSink
+from ..sim.trace import TraceSink
 from ..workloads.application import Application
 from .metrics import jain_index, percentile, slowdown_ratios
 from .spec import ClusterSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from ..core.fleet import FleetPolicy
     from ..sim.faults import FaultEvent
 
@@ -97,9 +99,9 @@ class _NodeSink(TraceSink):
     def close(self) -> None:
         """Absorbed: the cluster engine closes the shared sink."""
 
-    def record(self, socket_id: int, sample: TraceRecord) -> None:
-        """Forward the sample (or block) under its cluster-global socket id."""
-        self._target.record(self._base + socket_id, sample)
+    def record(self, socket_id: int, block: np.ndarray) -> None:
+        """Forward the block under its cluster-global socket id."""
+        self._target.record(self._base + socket_id, block)
 
     def record_event(self, socket_id: int, event: "FaultEvent") -> None:
         """Forward the fault event, shifting per-socket ids."""

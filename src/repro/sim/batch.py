@@ -61,12 +61,7 @@ from ..papi.events import CACHE_LINE_BYTES
 from ..units import smooth_max
 from .engine import _DONE_EPS, _MIN_SLICE_S, RunContext, SimulationEngine
 from .result import PhaseSpan, RunResult
-
-#: Bounds of the columnar trace buffer: at most this many ticks per
-#: chunk, and at most this many bytes for the whole
-#: ``(chunk, fields, lanes)`` buffer, whichever is smaller.
-TRACE_CHUNK_TICKS = 1024
-TRACE_CHUNK_BYTES = 8 << 20
+from .trace import TraceRecorder
 
 __all__ = [
     "BatchSimulationEngine",
@@ -190,26 +185,17 @@ class BatchSimulationEngine:
             ctx.runtime.start()
         self._build_lanes(ctxs)
         self._setup_trace(ctxs)
-
-        closed: set[int] = set()
-        self._tracing = any(ctx.sink is not None for ctx in ctxs)
-        for e, ctx in zip(self.engines, ctxs):
-            if ctx.sink is not None:
-                ctx.sink.open(e.machine.socket_count)
+        self._tracing = self._trace is not None
         try:
             with np.errstate(
                 divide="ignore", invalid="ignore", over="ignore"
             ):
-                self._loop(ctxs, closed)
+                self._loop(ctxs)
         finally:
             # A run that raised still hands its sinks the rows recorded
             # so far, as the scalar engine would have.
-            for r, ctx in enumerate(ctxs):
-                if ctx.sink is not None and r not in closed:
-                    try:
-                        self._flush_trace(ctxs, r)
-                    finally:
-                        ctx.sink.close()
+            if self._trace is not None:
+                self._trace.close()
 
         results = []
         for r, (e, ctx) in enumerate(zip(self.engines, ctxs)):
@@ -645,7 +631,7 @@ class BatchSimulationEngine:
 
     # -- main loop -------------------------------------------------------------------
 
-    def _loop(self, ctxs: list[RunContext], closed: set[int]) -> None:
+    def _loop(self, ctxs: list[RunContext]) -> None:
         now = 0.0
         dt = self.dt
         max_times = [e.engine_cfg.max_sim_time_s for e in self.engines]
@@ -653,7 +639,7 @@ class BatchSimulationEngine:
         injector_runs = [
             r for r, ctx in enumerate(ctxs) if ctx.injector is not None
         ]
-        trace_runs = [r for r, ctx in enumerate(ctxs) if ctx.sink is not None]
+        trace = self._trace
         alive = self.alive
         # Both caches below change only when a run finishes, so they
         # are refreshed inside the ``_maybe_done`` block rather than
@@ -671,8 +657,8 @@ class BatchSimulationEngine:
                             f"(application {e.application!r} stuck?)"
                         )
             self._tick(now, lane_mask)
-            if trace_runs:
-                self._record(ctxs, trace_runs)
+            if trace is not None:
+                self._record(trace)
             now += dt
             for r in injector_runs:
                 if alive[r]:
@@ -713,9 +699,7 @@ class BatchSimulationEngine:
                         if self._vec_run[r]:
                             self._sync_lane_controllers(r, ctx)
                         if ctx.sink is not None:
-                            self._flush_trace(ctxs, r)
-                            ctx.sink.close()
-                            closed.add(r)
+                            trace.close(self._trace_sink_of[r])
                 self._maybe_done.clear()
                 lane_mask = alive[self.run_of]
                 self._all_alive = bool(alive.all())
@@ -724,79 +708,38 @@ class BatchSimulationEngine:
     # -- columnar trace recording ------------------------------------------------------
 
     def _setup_trace(self, ctxs: list[RunContext]) -> None:
-        """Size the trace buffer to the recording runs' lanes.
-
-        Each tick :meth:`_record` copies the trace fields of every
-        recording lane into one ``(fields, lanes)`` row of a
-        ``(chunk, fields, lanes)`` buffer; the rows reach the sinks as
-        per-socket ``(fields, k)`` blocks (see :mod:`repro.sim.trace`).
-        """
-        cols: dict[int, list[int]] = {}
-        lanes: list[int] = []
-        for r, ctx in enumerate(ctxs):
-            if ctx.sink is not None:
-                run_lanes = self.run_lanes[r]
-                cols[r] = list(range(len(lanes), len(lanes) + len(run_lanes)))
-                lanes.extend(run_lanes)
-        # Column j of a row is lane ``lanes[j]``; ``None`` when every
-        # lane records (then the columns are the lanes, in order).
-        self._trace_cols = cols
-        self._trace_lanes = None if len(lanes) == self.L else np.array(lanes)
-        # In ``repro.sim.result.TRACE_FIELDS`` order.  None of these
-        # arrays is ever rebound, so the list stays current.
-        self._trace_src = [
-            self.proc_now,
-            self.st_core,
-            self.st_uncore,
-            self.st_pkg,
-            self.st_dram,
-            self.pl1_w,
-            self.st_flops,
-            self.st_bytes,
-        ]
-        if self.has_thermal:
-            self._trace_src.append(self.temp)
-        row_bytes = 8 * len(self._trace_src) * max(len(lanes), 1)
-        chunk = max(1, min(TRACE_CHUNK_TICKS, TRACE_CHUNK_BYTES // row_bytes))
-        self._trace_buf = np.empty((chunk, len(self._trace_src), len(lanes)))
-        #: Rows of the current chunk written so far, and per run the
-        #: first row not yet handed to its sink.
-        self._trace_n = 0
-        self._trace_from = [0] * len(ctxs)
-
-    def _record(self, ctxs: list[RunContext], trace_runs: list[int]) -> None:
-        """Copy this tick's trace fields into the next buffer row.
-
-        A full chunk is first handed to every live recording run.
-        """
-        n = self._trace_n
-        if n == len(self._trace_buf):
-            alive = self.alive
-            for r in trace_runs:
-                if alive[r]:
-                    self._flush_trace(ctxs, r)
-            n = 0
-            self._trace_from = [0] * len(ctxs)
-        row = self._trace_buf[n]
-        lanes = self._trace_lanes
-        for f, src in enumerate(self._trace_src):
-            if lanes is None:
-                row[f] = src
-            else:
-                # "clip" writes straight into ``out``; the default
-                # "raise" mode goes through a temporary.
-                np.take(src, lanes, out=row[f], mode="clip")
-        self._trace_n = n + 1
-
-    def _flush_trace(self, ctxs: list[RunContext], r: int) -> None:
-        """Hand run ``r``'s sockets their rows not yet recorded."""
-        start, n = self._trace_from[r], self._trace_n
-        if start == n:
+        """Build the recorder: one column per lane of a recording run."""
+        runs = [r for r, ctx in enumerate(ctxs) if ctx.sink is not None]
+        #: Recording run -> the index of its sink in the recorder.
+        self._trace_sink_of = {r: g for g, r in enumerate(runs)}
+        if not runs:
+            self._trace = None
             return
-        self._trace_from[r] = n
-        record = ctxs[r].sink.record
-        for s, j in enumerate(self._trace_cols[r]):
-            record(s, self._trace_buf[start:n, :, j].T)
+        self._trace = TraceRecorder(
+            [(ctxs[r].sink, len(self.run_lanes[r])) for r in runs],
+            thermal=self.has_thermal,
+        )
+        lanes = [l for r in runs for l in self.run_lanes[r]]
+        # Column j is lane ``lanes[j]``; when every lane records, the
+        # columns are the lanes in order and a slice copies no index.
+        self._trace_lanes = slice(None) if len(lanes) == self.L else np.array(lanes)
+
+    def _record(self, trace: TraceRecorder) -> None:
+        """Copy this tick's trace fields of the recording lanes."""
+        lanes = self._trace_lanes
+        trace.next_row()
+        trace.put(
+            slice(None),
+            time_s=self.proc_now[lanes],
+            core_freq_hz=self.st_core[lanes],
+            uncore_freq_hz=self.st_uncore[lanes],
+            package_power_w=self.st_pkg[lanes],
+            dram_power_w=self.st_dram[lanes],
+            cap_w=self.pl1_w[lanes],
+            flops_rate=self.st_flops[lanes],
+            bytes_rate=self.st_bytes[lanes],
+            temperature_c=self.temp[lanes] if self.has_thermal else None,
+        )
 
     # -- lane-parallel controller ticks ------------------------------------------------
     #

@@ -28,8 +28,8 @@ from ..hardware.processor import PhaseWork
 from ..workloads.application import Application
 from .faults import FaultInjector, FaultPlan
 from .machine import SimulatedMachine
-from .result import PhaseSpan, RunResult, SocketResult, TraceSample
-from .trace import InMemoryTraceSink, TraceSink
+from .result import PhaseSpan, RunResult, SocketResult
+from .trace import InMemoryTraceSink, TraceRecorder, TraceSink
 
 __all__ = ["SimulationEngine", "SimulationStepper", "RunContext"]
 
@@ -295,62 +295,65 @@ class SimulationStepper:
             _SocketProgress() for _ in range(engine.machine.socket_count)
         ]
         self.now = 0.0
-        self._closed = False
+        #: True once every socket has finished its phase list.
+        self.done = False
+        self._trace: TraceRecorder | None = None
         if self.ctx.sink is not None:
-            self.ctx.sink.open(engine.machine.socket_count)
-
-    @property
-    def done(self) -> bool:
-        """True once every socket has finished its phase list."""
-        return all(p.finish_time_s is not None for p in self.progress)
+            self._trace = TraceRecorder(
+                [(self.ctx.sink, engine.machine.socket_count)],
+                thermal=engine.machine.config.socket.thermal is not None,
+            )
 
     def tick(self) -> None:
         """Advance simulated time by one engine step (``dt_s``)."""
         engine = self.engine
         ctx = self.ctx
-        sink = ctx.sink
         if self.now >= engine.engine_cfg.max_sim_time_s:
             raise SimulationError(
                 f"simulation exceeded {engine.engine_cfg.max_sim_time_s}s "
                 f"(application {engine.application!r} stuck?)"
             )
         dt = engine.engine_cfg.dt_s
-        for sid, proc in enumerate(engine.machine.processors):
+        procs = engine.machine.processors
+        for sid, proc in enumerate(procs):
             engine._advance_socket(
                 proc, ctx.socket_apps[sid], self.progress[sid], self.now, dt
             )
-            if sink is not None:
+        self.done = all(p.finish_time_s is not None for p in self.progress)
+        trace = self._trace
+        if trace is not None:
+            trace.next_row()
+            for sid, proc in enumerate(procs):
                 s = proc.state
-                sink.record(
+                trace.put(
                     sid,
-                    TraceSample(
-                        time_s=s.time_s,
-                        core_freq_hz=s.core_freq_hz,
-                        uncore_freq_hz=s.uncore_freq_hz,
-                        package_power_w=s.package.total_w,
-                        dram_power_w=s.dram_power_w,
-                        cap_w=proc.rapl.pl1.limit_w,
-                        flops_rate=s.flops_rate,
-                        bytes_rate=s.bytes_rate,
-                        temperature_c=s.temperature_c,
-                    ),
+                    time_s=s.time_s,
+                    core_freq_hz=s.core_freq_hz,
+                    uncore_freq_hz=s.uncore_freq_hz,
+                    package_power_w=s.package.total_w,
+                    dram_power_w=s.dram_power_w,
+                    cap_w=proc.rapl.pl1.limit_w,
+                    flops_rate=s.flops_rate,
+                    bytes_rate=s.bytes_rate,
+                    temperature_c=s.temperature_c,
                 )
+            if self.done:
+                # A finished cluster node stops ticking: its rows must
+                # not wait for close().
+                trace.flush()
         self.now += dt
         if ctx.injector is not None:
             ctx.injector.advance(self.now)
         ctx.runtime.on_time(self.now)
 
     def close(self) -> None:
-        """Close the sink exactly once (idempotent, exception-safe)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self.ctx.sink is not None:
-            self.ctx.sink.close()
+        """Hand the sink its last rows and close it (idempotent)."""
+        if self._trace is not None:
+            self._trace.close()
 
     def result(self) -> RunResult:
         """Assemble the run result; only valid once :attr:`done`."""
-        assert all(p.finish_time_s is not None for p in self.progress)
+        assert self.done
         return self.engine.collect(
             self.ctx,
             [p.finish_time_s for p in self.progress],  # type: ignore[misc]

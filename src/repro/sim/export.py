@@ -16,7 +16,7 @@ from typing import IO
 from ..errors import SimulationError
 from .faults import NODE_WIDE, FaultEvent
 from .result import TRACE_FIELDS, RunResult, SocketResult
-from .trace import jsonl_event_line, jsonl_sample_line
+from .trace import csv_sample_row, jsonl_event_line, jsonl_sample_line
 
 __all__ = [
     "trace_to_csv",
@@ -30,26 +30,18 @@ __all__ = [
 
 
 def trace_to_csv(socket: SocketResult, stream: IO[str]) -> int:
-    """Write one socket's trace as CSV; returns the row count."""
+    """Write one socket's trace as CSV; returns the row count.
+
+    Rows use the streaming CSV sink's encoder
+    (:func:`repro.sim.trace.csv_sample_row`), without its socket column.
+    """
     if not socket.trace:
         raise SimulationError("run recorded no trace (record_trace=False?)")
     writer = csv.writer(stream)
     writer.writerow(TRACE_FIELDS)
     rows = 0
     for s in socket.trace:
-        writer.writerow(
-            [
-                f"{s.time_s:.6f}",
-                f"{s.core_freq_hz:.0f}",
-                f"{s.uncore_freq_hz:.0f}",
-                f"{s.package_power_w:.3f}",
-                f"{s.dram_power_w:.3f}",
-                f"{s.cap_w:.1f}",
-                f"{s.flops_rate:.3e}",
-                f"{s.bytes_rate:.3e}",
-                "" if s.temperature_c is None else f"{s.temperature_c:.2f}",
-            ]
-        )
+        writer.writerow(csv_sample_row(socket.socket_id, s)[1:])
         rows += 1
     return rows
 

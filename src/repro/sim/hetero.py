@@ -24,9 +24,10 @@ of the scalar engine:
   Computing* (PAPERS.md) — so host-side uncore decisions move
   accelerator makespan.
 * **Observability** — a :class:`~repro.sim.trace.TraceSink` receives
-  per-tick :class:`~repro.sim.result.TraceSample` records for every
-  device (the CPU is trace socket 0, GPU *i* is socket ``1+i`` with
-  its board clock/power/limit mapped onto the sample fields).
+  every device's per-tick samples through the engines' shared
+  :class:`~repro.sim.trace.TraceRecorder` (the CPU is trace socket 0,
+  GPU *i* is socket ``1+i`` with its board clock/power/limit mapped
+  onto the sample fields).
 * **Fault channels** — a :class:`~repro.sim.faults.FaultPlan` arms
   seeded GPU power-limit latch losses (``gpu_cap_latch_fail``) and
   kernel-queue stalls (``gpu_stall``) next to the CPU-side RAPL latch
@@ -58,8 +59,7 @@ from ..hardware.processor import SimulatedProcessor
 from ..workloads.application import Application
 from ..workloads.phase import NominalRates
 from .faults import FaultEvent, FaultInjector, FaultPlan
-from .result import TraceSample
-from .trace import TraceSink
+from .trace import TraceRecorder, TraceSink
 
 __all__ = ["HeteroResult", "HeteroEngine"]
 
@@ -253,8 +253,11 @@ class HeteroEngine:
         ceilings = self._ceilings()
         allocs = policy.initial(floors, ceilings)
         result = HeteroResult(0.0, 0.0, 0.0, 0.0)
-        if sink is not None:
-            sink.open(1 + n_gpus)
+        trace = (
+            TraceRecorder([(sink, 1 + n_gpus)], thermal=False)
+            if sink is not None
+            else None
+        )
 
         def apply(now: float) -> None:
             nonlocal allocs
@@ -385,39 +388,36 @@ class HeteroEngine:
                     allocs = policy.allocate(demands, floors, ceilings)
                     apply(now)
 
-                if sink is not None:
+                if trace is not None:
+                    trace.next_row()
                     st = cpu.state
-                    sink.record(
+                    trace.put(
                         0,
-                        TraceSample(
-                            time_s=now,
-                            core_freq_hz=st.core_freq_hz,
-                            uncore_freq_hz=st.uncore_freq_hz,
-                            package_power_w=st.package.total_w,
-                            dram_power_w=st.dram_power_w,
-                            cap_w=allocs[0],
-                            flops_rate=st.flops_rate,
-                            bytes_rate=st.bytes_rate,
-                        ),
+                        time_s=now,
+                        core_freq_hz=st.core_freq_hz,
+                        uncore_freq_hz=st.uncore_freq_hz,
+                        package_power_w=st.package.total_w,
+                        dram_power_w=st.dram_power_w,
+                        cap_w=allocs[0],
+                        flops_rate=st.flops_rate,
+                        bytes_rate=st.bytes_rate,
                     )
                     for i, gpu in enumerate(gpus):
                         gs = gpu.state
-                        sink.record(
+                        trace.put(
                             1 + i,
-                            TraceSample(
-                                time_s=now,
-                                core_freq_hz=gs.freq_hz,
-                                uncore_freq_hz=0.0,
-                                package_power_w=gs.power_w,
-                                dram_power_w=0.0,
-                                cap_w=gpu.power_limit_w,
-                                flops_rate=gs.flops_rate,
-                                bytes_rate=link_bw if tasks[i].transferring else 0.0,
-                            ),
+                            time_s=now,
+                            core_freq_hz=gs.freq_hz,
+                            uncore_freq_hz=0.0,
+                            package_power_w=gs.power_w,
+                            dram_power_w=0.0,
+                            cap_w=gpu.power_limit_w,
+                            flops_rate=gs.flops_rate,
+                            bytes_rate=link_bw if tasks[i].transferring else 0.0,
                         )
         finally:
-            if sink is not None:
-                sink.close()
+            if trace is not None:
+                trace.close()
 
         result.cpu_finish_s = cpu_finish
         result.gpu_finish_times_s = tuple(t.finish for t in tasks)

@@ -182,9 +182,9 @@ class SocketResult:
     finish_time_s: float
     package_energy_j: float
     dram_energy_j: float
-    #: The socket's trace: :class:`TraceColumns` from the engines'
-    #: in-memory sinks, a list of samples from a ring-buffer sink (or
-    #: a result cached before traces were columnar).
+    #: The socket's trace: :class:`TraceColumns` from an in-memory or
+    #: ring-buffer sink, or a list of samples in a result cached
+    #: before traces were columnar.
     trace: Sequence[TraceSample] = field(default_factory=list)
     phases: list[PhaseSpan] = field(default_factory=list)
 

@@ -1,25 +1,22 @@
-"""Trace sinks: observers of the engine's per-step samples.
+"""Trace recording: one chunked column buffer, and the sinks it feeds.
 
-The engine used to append every :class:`~repro.sim.result.TraceSample`
-to an in-RAM list — fine for one run, ruinous for million-step sweep
-cells.  Recording is now an observer protocol: the engine pushes each
-sample into a :class:`TraceSink` and never owns the storage policy.
+Every engine records its per-socket trace the same way.  A
+:class:`TraceRecorder` owns a float64 buffer of shape
+``(chunk, fields, columns)``: a row per engine step, a column per
+recorded socket (a scalar socket, a hetero device, a batch lane), and
+a field per :data:`~repro.sim.result.TRACE_FIELDS` entry (eight
+without thermals, nine with).  Each step the scalar stepper and the
+hetero engine fill a row socket by socket, and the batch engine fills
+it from its lane-state arrays (:meth:`TraceRecorder.put`).  When the
+chunk is full, when a run finishes and when it closes, the recorder
+hands each socket its new rows as one *block* to
+:meth:`TraceSink.record`.
 
-:meth:`TraceSink.record` takes one of two things:
-
-* a single :class:`~repro.sim.result.TraceSample` — what the scalar
-  stepper and the hetero engine send, one per socket per step;
-* a *block*: a float64 array of shape ``(fields, k)`` holding ``k``
-  consecutive steps of one socket, one row per
-  :data:`~repro.sim.result.TRACE_FIELDS` entry (eight rows without
-  thermals, nine with).  The batch engine records columnar: each tick
-  it copies its lane-state arrays into one row of a fixed
-  ``(chunk, fields, lanes)`` buffer, and when the chunk is full, or a
-  run finishes, it hands every socket of every recording run its
-  block.  A block views the engine's buffer and is valid only for the
-  call; a sink that keeps it copies it.  The buffer is bounded by the
-  chunk, not the run, so streaming and ring sinks keep bounded RAM on
-  the batch path too.
+A block is a float64 array of shape ``(fields, k)`` holding ``k``
+consecutive steps of one socket, one row per trace field.  It views
+the recorder's buffer and is valid only for the call; a sink that
+keeps it copies it.  The buffer is bounded by the chunk, not the run,
+so streaming and ring sinks keep bounded RAM on every engine.
 
 In memory a trace costs 64 bytes per sample (72 with temperature).
 
@@ -27,16 +24,16 @@ In memory a trace costs 64 bytes per sample (72 with temperature).
   columns: ``SocketResult.trace`` is a
   :class:`~repro.sim.result.TraceColumns`, whose samples are built
   only when read.
-* :class:`StreamingTraceSink` — writes JSONL or CSV rows as they are
-  produced; RAM stays O(chunk) regardless of run length, and the JSONL
+* :class:`StreamingTraceSink` — writes JSONL or CSV rows once per
+  chunk; RAM stays O(chunk) regardless of run length, and the JSONL
   content is byte-identical to serialising an in-memory trace of the
   same run (``jsonl_sample_line`` is the single encoder for both).
   Blocks are held until every socket's block of a chunk has arrived
-  and are then written tick-major, the row order the scalar engine
-  streams in.
+  and are then written tick-major: step 0 of every socket, then
+  step 1, and so on.
 * :class:`RingBufferTraceSink` — keeps only the last ``capacity``
-  samples per socket (bounded post-mortem window).
-* :class:`CompositeTraceSink` — fans each sample out to several sinks,
+  samples per socket (bounded post-mortem window), as columns.
+* :class:`CompositeTraceSink` — fans each block out to several sinks,
   so "stream to disk *and* keep the tail in RAM" composes freely.
 """
 
@@ -46,18 +43,19 @@ import csv
 import json
 import os
 from collections import deque
-from typing import IO, TYPE_CHECKING, Sequence, Union
+from itertools import accumulate
+from typing import IO, TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..errors import SimulationError
-from .result import TraceColumns, TraceSample
+from .result import TRACE_FIELDS, TraceColumns, TraceSample
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .faults import FaultEvent
 
 __all__ = [
-    "TraceRecord",
+    "TraceRecorder",
     "TraceSink",
     "InMemoryTraceSink",
     "RingBufferTraceSink",
@@ -67,25 +65,21 @@ __all__ = [
     "jsonl_event_line",
     "csv_sample_row",
     "CSV_HEADER",
+    "TRACE_CHUNK_TICKS",
+    "TRACE_CHUNK_BYTES",
 ]
 
-#: What :meth:`TraceSink.record` accepts: one sample, or a
-#: ``(fields, k)`` float64 block of ``k`` consecutive samples.
-TraceRecord = Union[TraceSample, np.ndarray]
+#: Bounds of a recorder's buffer: at most this many ticks per chunk,
+#: and at most this many bytes for the whole ``(chunk, fields,
+#: columns)`` buffer, whichever is smaller.
+TRACE_CHUNK_TICKS = 1024
+TRACE_CHUNK_BYTES = 8 << 20
 
 #: Column order of streamed CSV rows (socket id + the trace fields).
-CSV_HEADER = (
-    "socket_id",
-    "time_s",
-    "core_freq_hz",
-    "uncore_freq_hz",
-    "package_power_w",
-    "dram_power_w",
-    "cap_w",
-    "flops_rate",
-    "bytes_rate",
-    "temperature_c",
-)
+CSV_HEADER = ("socket_id", *TRACE_FIELDS)
+
+#: ``format`` spec of each trace field in CSV rows.
+_CSV_FORMATS = (".6f", ".0f", ".0f", ".3f", ".3f", ".1f", ".3e", ".3e", ".2f")
 
 
 def jsonl_sample_line(socket_id: int, sample: TraceSample) -> str:
@@ -93,20 +87,10 @@ def jsonl_sample_line(socket_id: int, sample: TraceSample) -> str:
 
     The single encoder shared by the streaming sink and the exporter:
     a streamed file and a serialised in-memory trace of the same run
-    are byte-identical because both call this function.
+    are byte-identical because both call this function.  Keys follow
+    the socket id in ``TRACE_FIELDS`` order.
     """
-    record = {
-        "socket_id": socket_id,
-        "time_s": sample.time_s,
-        "core_freq_hz": sample.core_freq_hz,
-        "uncore_freq_hz": sample.uncore_freq_hz,
-        "package_power_w": sample.package_power_w,
-        "dram_power_w": sample.dram_power_w,
-        "cap_w": sample.cap_w,
-        "flops_rate": sample.flops_rate,
-        "bytes_rate": sample.bytes_rate,
-        "temperature_c": sample.temperature_c,
-    }
+    record = {"socket_id": socket_id, **vars(sample)}
     return json.dumps(record, separators=(",", ":")) + "\n"
 
 
@@ -128,37 +112,33 @@ def jsonl_event_line(event: "FaultEvent") -> str:
 
 
 def csv_sample_row(socket_id: int, sample: TraceSample) -> list[str]:
-    """One formatted CSV row for one trace sample (see ``CSV_HEADER``)."""
-    return [
-        str(socket_id),
-        f"{sample.time_s:.6f}",
-        f"{sample.core_freq_hz:.0f}",
-        f"{sample.uncore_freq_hz:.0f}",
-        f"{sample.package_power_w:.3f}",
-        f"{sample.dram_power_w:.3f}",
-        f"{sample.cap_w:.1f}",
-        f"{sample.flops_rate:.3e}",
-        f"{sample.bytes_rate:.3e}",
-        "" if sample.temperature_c is None else f"{sample.temperature_c:.2f}",
+    """One formatted CSV row for one trace sample (see ``CSV_HEADER``).
+
+    The single encoder shared by the streaming sink and the exporter;
+    a missing temperature is an empty cell.
+    """
+    return [str(socket_id)] + [
+        "" if value is None else format(value, spec)
+        for value, spec in zip(vars(sample).values(), _CSV_FORMATS)
     ]
 
 
 class TraceSink:
-    """Observer of engine trace samples; default hooks are no-ops.
+    """Observer of engine trace blocks; default hooks are no-ops.
 
-    Lifecycle: the engine calls :meth:`open` once before the first
-    sample, :meth:`record` for every (socket, sample or block) in
-    simulation order — per socket; blocks of different sockets arrive
-    one after another — and :meth:`close` exactly once, in a
-    ``finally``, so sinks holding file handles are released even when
-    a run raises.
+    Lifecycle: the engine's :class:`TraceRecorder` calls :meth:`open`
+    once before the first block, :meth:`record` for every (socket,
+    block) in simulation order — per socket; blocks of different
+    sockets arrive one after another — and :meth:`close` exactly once,
+    in a ``finally``, so sinks holding file handles are released even
+    when a run raises.
     """
 
     def open(self, socket_count: int) -> None:
         """Run is starting; ``socket_count`` sockets will report."""
 
-    def record(self, socket_id: int, sample: TraceRecord) -> None:
-        """One engine-step sample of one socket, or a block of them."""
+    def record(self, socket_id: int, block: np.ndarray) -> None:
+        """A ``(fields, k)`` block: ``k`` consecutive steps of one socket."""
 
     def record_event(self, socket_id: int, event: "FaultEvent") -> None:
         """One injected fault event (``socket_id`` is ``-1`` for
@@ -181,40 +161,122 @@ class TraceSink:
         return []
 
 
+class TraceRecorder:
+    """One engine's trace buffer, handed to its sinks in blocks.
+
+    ``sinks`` pairs each sink with its socket count; sink ``g`` owns
+    the next that many buffer columns, in socket-id order, and is
+    opened on construction.  Each step the engine starts a row with
+    :meth:`next_row` and fills it through :meth:`put`.  A full chunk
+    is handed to every open sink before its first row is reused;
+    :meth:`flush` hands one sink its rows early (a run that finished)
+    and :meth:`close` flushes and closes it.  ``thermal`` adds the
+    temperature field.
+    """
+
+    def __init__(self, sinks: Sequence[tuple[TraceSink, int]], thermal: bool):
+        self._sinks = list(sinks)
+        self._first = list(accumulate((n for _, n in self._sinks), initial=0))
+        columns = self._first.pop()
+        fields = len(TRACE_FIELDS) - (not thermal)
+        row_bytes = 8 * fields * max(columns, 1)
+        chunk = max(1, min(TRACE_CHUNK_TICKS, TRACE_CHUNK_BYTES // row_bytes))
+        self.buf = np.empty((chunk, fields, columns))
+        self._thermal = thermal
+        #: Rows of the current chunk written so far, and per sink the
+        #: first row not yet handed to it.
+        self._n = 0
+        self._from = [0] * len(self._sinks)
+        self._open = [True] * len(self._sinks)
+        self._row = self.buf[0]
+        for sink, sockets in self._sinks:
+            sink.open(sockets)
+
+    def next_row(self) -> None:
+        """Start the row of the step being recorded."""
+        if self._n == len(self.buf):
+            for g, is_open in enumerate(self._open):
+                if is_open:
+                    self.flush(g)
+            self._n = 0
+            self._from = [0] * len(self._sinks)
+        self._row = self.buf[self._n]
+        self._n += 1
+
+    def put(
+        self,
+        col: int | slice,
+        time_s: float | np.ndarray,
+        core_freq_hz: float | np.ndarray,
+        uncore_freq_hz: float | np.ndarray,
+        package_power_w: float | np.ndarray,
+        dram_power_w: float | np.ndarray,
+        cap_w: float | np.ndarray,
+        flops_rate: float | np.ndarray,
+        bytes_rate: float | np.ndarray,
+        temperature_c: float | np.ndarray | None = None,
+    ) -> None:
+        """Write samples into column(s) ``col`` of the current row.
+
+        ``col`` is one socket's column with one float per field, or a
+        slice of columns with one array per field.
+        """
+        values = (
+            time_s,
+            core_freq_hz,
+            uncore_freq_hz,
+            package_power_w,
+            dram_power_w,
+            cap_w,
+            flops_rate,
+            bytes_rate,
+            temperature_c,
+        )
+        self._row[:, col] = values if self._thermal else values[:-1]
+
+    def flush(self, g: int = 0) -> None:
+        """Hand sink ``g``'s sockets their rows not yet handed over."""
+        start, n = self._from[g], self._n
+        if start == n:
+            return
+        self._from[g] = n
+        (sink, sockets), first = self._sinks[g], self._first[g]
+        for s in range(sockets):
+            sink.record(s, self.buf[start:n, :, first + s].T)
+
+    def close(self, g: int | None = None) -> None:
+        """Flush and close sink ``g``, or every sink still open.
+
+        A closed sink is skipped by later chunks and later calls.
+        """
+        for h in range(len(self._sinks)) if g is None else (g,):
+            if self._open[h]:
+                self._open[h] = False
+                try:
+                    self.flush(h)
+                finally:
+                    self._sinks[h][0].close()
+
+
 class InMemoryTraceSink(TraceSink):
     """Full per-socket traces in RAM, kept as columns.
 
-    Blocks are copied on arrival; single samples queue up and are
-    converted to a block when a block arrives or the trace is read.
-    :meth:`collected` joins a socket's blocks into one
-    :class:`~repro.sim.result.TraceColumns`.
+    Blocks are copied on arrival; :meth:`collected` joins a socket's
+    blocks into one :class:`~repro.sim.result.TraceColumns`.
     """
 
     def __init__(self) -> None:
         self._blocks: list[list[np.ndarray]] = []
-        self._samples: list[list[TraceSample]] = []
         self._events: "list[FaultEvent]" = []
 
     def open(self, socket_count: int) -> None:
-        """Allocate one block list and one sample queue per socket."""
+        """Allocate one block list per socket."""
         self._blocks = [[] for _ in range(socket_count)]
-        self._samples = [[] for _ in range(socket_count)]
         self._events = []
 
-    def record(self, socket_id: int, sample: TraceRecord) -> None:
-        """Queue the sample, or copy the block, for its socket."""
-        if isinstance(sample, TraceSample):
-            self._samples[socket_id].append(sample)
-        else:
-            self._seal(socket_id)
-            self._blocks[socket_id].append(np.array(sample, order="C"))
-
-    def _seal(self, socket_id: int) -> None:
-        """Turn the socket's queued samples into a block."""
-        queued = self._samples[socket_id]
-        if queued:
-            self._blocks[socket_id].append(TraceColumns.from_samples(queued).array)
-            self._samples[socket_id] = []
+    def record(self, socket_id: int, block: np.ndarray) -> None:
+        """Copy the block for its socket."""
+        self._blocks[socket_id].append(np.array(block, order="C"))
 
     def record_event(self, socket_id: int, event: "FaultEvent") -> None:
         """Retain the fault event (events are sparse; one flat list)."""
@@ -222,15 +284,10 @@ class InMemoryTraceSink(TraceSink):
 
     def collected(self, socket_id: int) -> TraceColumns:
         """The socket's full trace, as columns."""
-        self._seal(socket_id)
         blocks = self._blocks[socket_id]
         if not blocks:
             return TraceColumns.from_samples([])
         if len(blocks) > 1:
-            if len({len(b) for b in blocks}) > 1:
-                raise SimulationError(
-                    "trace mixes samples with and without a temperature"
-                )
             blocks[:] = [np.concatenate(blocks, axis=1)]
         return TraceColumns(blocks[0])
 
@@ -239,47 +296,38 @@ class InMemoryTraceSink(TraceSink):
         return self._events
 
 
-class RingBufferTraceSink(TraceSink):
-    """Bounded window: only the last ``capacity`` samples per socket."""
+class RingBufferTraceSink(InMemoryTraceSink):
+    """Bounded window: only the last ``capacity`` samples per socket.
+
+    Blocks that fall wholly out of the window are dropped as new ones
+    arrive, so RAM stays O(capacity + chunk) whatever the run length.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise SimulationError("ring buffer capacity must be at least 1")
+        super().__init__()
         self.capacity = capacity
-        self._buffers: list[deque[TraceSample]] = []
-        self._events: "deque[FaultEvent]" = deque(maxlen=capacity)
         #: Total samples observed per socket (including evicted ones).
         self.seen: list[int] = []
 
     def open(self, socket_count: int) -> None:
-        """Allocate one bounded deque per socket."""
-        self._buffers = [
-            deque(maxlen=self.capacity) for _ in range(socket_count)
-        ]
-        self._events = deque(maxlen=self.capacity)
+        """Allocate one block list per socket and a bounded event tail."""
+        super().open(socket_count)
+        self._events = deque(maxlen=self.capacity)  # type: ignore[assignment]
         self.seen = [0] * socket_count
 
-    def record(self, socket_id: int, sample: TraceRecord) -> None:
-        """Append, evicting the oldest samples once at capacity.
+    def record(self, socket_id: int, block: np.ndarray) -> None:
+        """Copy the block's tail, then evict blocks the window left."""
+        super().record(socket_id, block[:, -self.capacity :])
+        self.seen[socket_id] += block.shape[1]
+        blocks = self._blocks[socket_id]
+        while sum(b.shape[1] for b in blocks[1:]) >= self.capacity:
+            del blocks[0]
 
-        Only a block's last ``capacity`` rows become samples.
-        """
-        if isinstance(sample, TraceSample):
-            self._buffers[socket_id].append(sample)
-            self.seen[socket_id] += 1
-        else:
-            self._buffers[socket_id].extend(
-                TraceColumns(sample[:, -self.capacity :])
-            )
-            self.seen[socket_id] += sample.shape[1]
-
-    def record_event(self, socket_id: int, event: "FaultEvent") -> None:
-        """Keep the event tail, bounded by the same capacity."""
-        self._events.append(event)
-
-    def collected(self, socket_id: int) -> list[TraceSample]:
-        """The retained tail, oldest first."""
-        return list(self._buffers[socket_id])
+    def collected(self, socket_id: int) -> TraceColumns:
+        """The retained tail, oldest first, as columns."""
+        return TraceColumns(super().collected(socket_id).array[:, -self.capacity :])
 
     def events(self) -> "list[FaultEvent]":
         """The retained fault-event tail, oldest first."""
@@ -287,7 +335,7 @@ class RingBufferTraceSink(TraceSink):
 
 
 class StreamingTraceSink(TraceSink):
-    """Writes each sample straight to a JSONL or CSV stream.
+    """Writes every sample to a JSONL or CSV stream, chunk by chunk.
 
     ``target`` is a path (opened on :meth:`open`, closed on
     :meth:`close`) or an already-open text stream (left open).  RAM use
@@ -295,8 +343,9 @@ class StreamingTraceSink(TraceSink):
 
     Blocks are held until every socket has sent its block for the
     chunk, then written tick-major (step 0 of sockets 0, 1, ..., then
-    step 1, ...), so a batch run streams the same bytes, in the same
-    order, as the scalar engine's one-sample-per-socket records.
+    step 1, ...).  A socket whose run finished early sends no more
+    blocks; its last block is written with the next chunk's, and a
+    second block from any held socket flushes what is held first.
     """
 
     FORMATS = ("jsonl", "csv")
@@ -329,26 +378,15 @@ class StreamingTraceSink(TraceSink):
             self._csv_writer = csv.writer(self._stream)
             self._csv_writer.writerow(CSV_HEADER)
 
-    def record(self, socket_id: int, sample: TraceRecord) -> None:
-        """Write one row, or hold a block until its chunk is complete."""
+    def record(self, socket_id: int, block: np.ndarray) -> None:
+        """Hold the block until its chunk is complete."""
         if self._stream is None:
             raise SimulationError("streaming sink used before open()")
-        if isinstance(sample, TraceSample):
-            self._write_held()
-            self._write(socket_id, sample)
-            return
         if socket_id in self._held:
             self._write_held()
-        self._held[socket_id] = list(TraceColumns(sample))
+        self._held[socket_id] = list(TraceColumns(block))
         if len(self._held) == self._sockets:
             self._write_held()
-
-    def _write(self, socket_id: int, sample: TraceSample) -> None:
-        if self.fmt == "jsonl":
-            self._stream.write(jsonl_sample_line(socket_id, sample))
-        else:
-            self._csv_writer.writerow(csv_sample_row(socket_id, sample))
-        self.rows += 1
 
     def _write_held(self) -> None:
         """Write the held blocks tick-major, in socket order."""
@@ -356,10 +394,17 @@ class StreamingTraceSink(TraceSink):
             return
         held = sorted(self._held.items())
         self._held = {}
+        stream = self._stream
         for step in range(max(len(samples) for _, samples in held)):
             for socket_id, samples in held:
                 if step < len(samples):
-                    self._write(socket_id, samples[step])
+                    if self.fmt == "jsonl":
+                        stream.write(jsonl_sample_line(socket_id, samples[step]))
+                    else:
+                        self._csv_writer.writerow(
+                            csv_sample_row(socket_id, samples[step])
+                        )
+                    self.rows += 1
 
     def record_event(self, socket_id: int, event: "FaultEvent") -> None:
         """Buffer the event; the block is written on :meth:`close`.
@@ -390,11 +435,11 @@ class StreamingTraceSink(TraceSink):
 
 
 class CompositeTraceSink(TraceSink):
-    """Fans every event out to several sinks, in order.
+    """Fans every block and event out to several sinks, in order.
 
     ``collected`` answers from the first child that retained anything,
     so composing a streaming sink with an in-memory (or ring) sink
-    still yields populated ``SocketResult.trace`` lists.
+    still yields populated ``SocketResult.trace`` columns.
     """
 
     def __init__(self, *sinks: TraceSink):
@@ -407,10 +452,10 @@ class CompositeTraceSink(TraceSink):
         for sink in self.sinks:
             sink.open(socket_count)
 
-    def record(self, socket_id: int, sample: TraceRecord) -> None:
+    def record(self, socket_id: int, block: np.ndarray) -> None:
         """Record into every child."""
         for sink in self.sinks:
-            sink.record(socket_id, sample)
+            sink.record(socket_id, block)
 
     def record_event(self, socket_id: int, event: "FaultEvent") -> None:
         """Record the fault event into every child."""

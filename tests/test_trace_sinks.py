@@ -1,16 +1,22 @@
 """Trace sinks: in-memory equivalence, streaming byte-identity, bounds."""
 
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterEngine, ClusterSpec
 from repro.config import ControllerConfig, EngineConfig, NoiseConfig
-from repro.core.registry import controller_factory
+from repro.core.registry import controller_factory, fleet_policy, make_spec
+from repro.core.split import CoordinatedSplit
 from repro.errors import SimulationError
-from repro.sim import batch
+from repro.hardware.gpu import GPUNodeConfig
+from repro.sim import trace
 from repro.sim.batch import BatchSimulationEngine
 from repro.sim.export import trace_to_jsonl
+from repro.sim.faults import FaultPlan
+from repro.sim.hetero import HeteroEngine
 from repro.sim.result import TraceColumns
 from repro.sim.run import build_engine, run_application
 from repro.sim.trace import (
@@ -20,6 +26,8 @@ from repro.sim.trace import (
     RingBufferTraceSink,
     StreamingTraceSink,
     TraceSink,
+    jsonl_event_line,
+    jsonl_sample_line,
 )
 from repro.workloads.catalog import build_application
 
@@ -91,11 +99,6 @@ class TestStreamingCsv:
         with pytest.raises(SimulationError):
             StreamingTraceSink(io.StringIO(), fmt="parquet")
 
-    def test_record_before_open_rejected(self):
-        sink = StreamingTraceSink(io.StringIO())
-        with pytest.raises(SimulationError):
-            sink.record(0, _run(record_trace=True).socket(0).trace[0])
-
 
 class TestRingBufferSink:
     def test_keeps_only_the_tail(self):
@@ -144,7 +147,7 @@ CASES = [("EP", 7, 2, 0.2), ("CG", 3, 1, 0.12), ("EP", 11, 1, 0.15)]
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    monkeypatch.setattr(batch, "TRACE_CHUNK_TICKS", CHUNK)
+    monkeypatch.setattr(trace, "TRACE_CHUNK_TICKS", CHUNK)
 
 
 def _engine(case, sink=None, engine_cfg=None):
@@ -263,10 +266,112 @@ class TestBatchTraceBuffer:
             [_engine(c, InMemoryTraceSink()) for c in CASES]
         )
         engine.run()
-        assert len(engine._trace_buf) <= batch.TRACE_CHUNK_TICKS
-        assert engine._trace_buf.nbytes <= batch.TRACE_CHUNK_BYTES
+        assert len(engine._trace.buf) <= trace.TRACE_CHUNK_TICKS
+        assert engine._trace.buf.nbytes <= trace.TRACE_CHUNK_BYTES
 
     def test_streaming_block_before_open_rejected(self):
         sink = StreamingTraceSink(io.StringIO())
         with pytest.raises(SimulationError):
             sink.record(0, np.zeros((8, 3)))
+
+
+class TestScalarTraceBuffer:
+    def test_blocks_are_bounded_by_the_chunk(self, small_chunks):
+        log = _BlockLog()
+        result = _engine(CASES[0], log).run()
+        sizes = [shape[1] for sid, shape in log.shapes if sid == 0]
+        assert sizes[:-1] == [CHUNK] * (len(sizes) - 1)
+        assert 0 < sizes[-1] < CHUNK
+        assert sum(sizes) == pytest.approx(result.execution_time_s / 0.01, abs=1)
+        # Both sockets' blocks of a chunk arrive one after the other.
+        assert [sid for sid, _ in log.shapes] == [0, 1] * len(sizes)
+
+
+# -- streams of the other engines ----------------------------------------------------
+#
+# The cluster and hetero engines stream through the same recorder.  Their
+# JSONL is pinned by the sha256 of the stream the engines wrote when
+# they still sent one sample per socket per step, and must equal the
+# tick-major merge of the same run's in-memory traces.
+
+
+def _tick_major_jsonl(traces, events=()):
+    """Per-socket traces interleaved step by step, then the events."""
+    out = io.StringIO()
+    for step in range(max(map(len, traces))):
+        for socket_id, samples in enumerate(traces):
+            if step < len(samples):
+                out.write(jsonl_sample_line(socket_id, samples[step]))
+    for event in events:
+        out.write(jsonl_event_line(event))
+    return out.getvalue()
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+CLUSTER_JSONL_SHA256 = (
+    "ce2bfea6c3fa99537f69adb9209c3945ba0c096e632b067f3c87b179a09f228c"
+)
+HETERO_JSONL_SHA256 = (
+    "956caa23012fea6dd3468f6f5ba45085fd3d3deb822d9b62517dcac1ee45874c"
+)
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestOtherEngineStreams:
+    def test_cluster_stream_is_tick_major_across_chunks(self):
+        stream = io.StringIO()
+        cluster = ClusterSpec(
+            node_count=2, node_apps=("WEB", "BATCH"), period_s=0.5,
+            sockets_per_node=2,
+        )
+        result = ClusterEngine(
+            applications=[
+                build_application(cluster.app_for(i, "WEB"), scale=0.2)
+                for i in range(2)
+            ],
+            cluster=cluster,
+            policy=fleet_policy(make_spec("fleet-demand", budget_w=300.0), CFG),
+            controller_cfg=CFG,
+            noise=NoiseConfig(duration_jitter=0.0, counter_noise=0.0, power_noise=0.0),
+            seed=7,
+            trace_sink=CompositeTraceSink(
+                StreamingTraceSink(stream), InMemoryTraceSink()
+            ),
+        ).run()
+        traces = [s.trace for node in result.nodes for s in node.sockets]
+        lengths = [len(t) for t in traces]
+        # The nodes finish mid-chunk, in different chunks.
+        assert lengths[0] // CHUNK != lengths[2] // CHUNK
+        assert all(n % CHUNK for n in lengths)
+        assert stream.getvalue() == _tick_major_jsonl(traces)
+        assert _sha256(stream.getvalue()) == CLUSTER_JSONL_SHA256
+
+    def test_hetero_stream_matches_memory_and_pin(self):
+        stream = io.StringIO()
+        memory = InMemoryTraceSink()
+        result = HeteroEngine(
+            application=build_application("CG", scale=0.15),
+            node=GPUNodeConfig(
+                kernel_count=3, kernel_flops=1.5e12, kernel_bytes=0.2e12,
+                gpu_count=2,
+            ),
+            policy=CoordinatedSplit(500.0),
+            cfg=CFG,
+            seed=3,
+            noise=NoiseConfig(),
+            faults=FaultPlan(
+                gpu_queue_stall_rate=0.5, gpu_stall_s=0.2,
+                gpu_cap_latch_fail_rate=0.3, cap_latch_fail_rate=0.2,
+            ),
+            trace_sink=CompositeTraceSink(StreamingTraceSink(stream), memory),
+        ).run()
+        traces = [memory.collected(socket_id) for socket_id in range(3)]
+        assert len(traces[0]) > 2 * CHUNK
+        assert {e.channel for e in result.fault_events} == {
+            "gpu_stall", "gpu_cap_latch_fail", "cap_latch_fail",
+        }
+        assert stream.getvalue() == _tick_major_jsonl(traces, result.fault_events)
+        assert _sha256(stream.getvalue()) == HETERO_JSONL_SHA256
